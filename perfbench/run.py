@@ -11,16 +11,20 @@ output is one JSON object with the keys ``correct``, ``attempted``,
 ``failed`` and ``metrics``; the line before it (``report: {...}``) holds
 sample counts and the input properties of the run.
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs the
-workload for a quarter of the time untraced, replays the same jobs with
-every public library function wrapped (see ``tracer.py``), reports the
-per-layer metrics and writes the spans to ``perfbench/out/``.
+``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` takes a
+fixed set of jobs, the first ``trace_passes`` passes of the workload for
+the seed, so that the per-layer totals do not depend on how fast the
+program is; it replays that set untraced for a quarter of the time, then
+once with every public library function wrapped (see ``tracer.py``),
+reports the per-layer metrics and writes the spans to
+``perfbench/out/``.
 ``--smoke`` shrinks the inputs so that a run takes a few seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -46,11 +50,14 @@ SETUP_CODE = ("import pamsort.cli\n"
 SETUP_REPS = 15
 
 # On a shared host the speed drifts by up to 40% over periods of seconds,
-# and a fixed loop of interpreted code drifts with it (pamsort's timings
-# follow 0.5 to 0.9 of the loop's change).  Every timing is therefore
-# rescaled by the time this loop took around it, to the speed at which the
-# loop takes CAL_NOMINAL_MS; the report keeps the raw figures too.  The
-# loop runs after every CAL_EVERY_S of jobs and at the end of each pass.
+# and a fixed loop of interpreted code drifts with it.  Every timing is
+# therefore divided by the loop's slowdown k around it, the loop's time
+# over CAL_NOMINAL_MS; the report gives k.  This under-corrects: over 60
+# runs of 30 s on a 2-core x86 host, the rescaled metrics still moved as
+# k**0.26 to k**0.42 of each run's median k: on a slowed host they read
+# somewhat slower than at nominal speed, not faster.  A memory-walking or
+# an allocating loop did no better.  The loop runs after every
+# CAL_EVERY_S of jobs and at the end of each pass.
 CAL_ITERS = 100_000
 CAL_NOMINAL_MS = 13.0
 CAL_EVERY_S = 0.1
@@ -79,7 +86,7 @@ def calibrate() -> float:
 
 
 def slowdowns(cal_ms: list[float]) -> list[float]:
-    """Host slowdown during each interval between calibrations."""
+    """Host slowdown k during each interval between calibrations."""
     return [(a + b) / 2 / CAL_NOMINAL_MS for a, b in zip(cal_ms, cal_ms[1:])]
 
 
@@ -121,7 +128,6 @@ class Pass:
     number of jobs a faster program gets through."""
 
     jobs: list               # the job list as the workload yielded it
-    raw: tuple[float, ...]
     scaled: tuple[float, ...]
     scaled_busy_s: float
 
@@ -192,8 +198,8 @@ def run_pass(run: Run, jobs: list, tracer: Any = None) -> None:
         run.cal_ms.append(calibrate())
     k = slowdowns(run.cal_ms)
     scaled = [lat / k[seg] for lat, seg in zip(latencies, segments)]
-    run.passes.append(Pass(jobs, summarize(jobs, latencies),
-                           summarize(jobs, scaled), sum(scaled) / 1e9))
+    run.passes.append(Pass(jobs, summarize(jobs, scaled),
+                           sum(scaled) / 1e9))
 
 
 def measure(passes: Iterable[list], seconds: float) -> Run:
@@ -231,15 +237,13 @@ def end_to_end(run: Run, setup_s: float) -> tuple[dict, dict]:
         "words": run.words,
         "host_slowdown": {"min": min(k), "median": statistics.median(k),
                           "max": max(k)},
-        "raw": dict(zip(("words_per_s", "queries_per_s", "query_p50_us",
-                         "query_p99_us"),
-                        (statistics.median(col) for col in
-                         zip(*(p.raw for p in run.passes))))),
     }
     return metrics, samples
 
 
 def per_layer(untraced: Run, traced: Run, tracer: Any) -> dict:
+    """Totals over the fixed job set of the traced replay; the overhead
+    is taken against the median untraced replay of the same set."""
     totals = tracer.layer_totals()
     metrics: dict[str, tuple[float, str]] = {}
     for layer in LAYER_METRICS:
@@ -254,8 +258,8 @@ def per_layer(untraced: Run, traced: Run, tracer: Any) -> dict:
         "oracles.fallbacks": (fallbacks, "count"),
         "oracles.fallback_share": (fallbacks / dispatch if dispatch else 0.0,
                                    "ratio"),
-        "trace_overhead_ratio": (traced.scaled_busy_s
-                                 / untraced.scaled_busy_s, "ratio"),
+        "trace_overhead_ratio": (traced.scaled_busy_s / statistics.median(
+            p.scaled_busy_s for p in untraced.passes), "ratio"),
     })
     return metrics
 
@@ -294,21 +298,24 @@ def main(argv: list[str] | None = None) -> int:
         metrics, report["samples"] = end_to_end(run, setup_s)
         runs = [warm, run]
     else:
-        untraced = measure(workload.passes(), args.seconds / 4)
+        passes = 1 if args.smoke else workload.trace_passes
+        jobs = [job for p in itertools.islice(workload.passes(), passes)
+                for job in p]
+        untraced = measure(itertools.repeat(jobs), args.seconds / 4)
         tracer = Tracer()
         tracer.install(pamsort)
-        traced = Run()
+        run = Run()
         try:
-            run_pass(traced, list(untraced.jobs()), tracer)
+            run_pass(run, jobs, tracer)
         finally:
             tracer.uninstall()
-        metrics = per_layer(untraced, traced, tracer)
+        metrics = per_layer(untraced, run, tracer)
         spans = OUT / f"{args.workload}.spans"
         tracer.write(spans)
         report["spans"] = {"file": str(spans.relative_to(ROOT)),
                            "count": len(tracer.span_start)}
-        run = untraced
-        runs = [warm, untraced, traced]
+        report["untraced_replays"] = len(untraced.passes)
+        runs = [warm, untraced, run]
 
     report["properties"] = workload.properties(run.jobs(), run.int_results)
     failures = [f for r in runs for f in r.failures]

@@ -4,8 +4,10 @@
 
 Smoke runs of every workload must print every metric named in
 ``BENCHMARK.json`` with its unit and no failures; corrupting the
-reference of any one job must count exactly one failure; and without the
-pamsort sources the benchmark must exit non-zero without a result.
+reference of any one job must count exactly one failure; a broken
+sigma-stack in pamsort must fail query-mix's machine queries; and
+without the pamsort sources the benchmark must exit non-zero without a
+result.
 """
 
 from __future__ import annotations
@@ -77,6 +79,21 @@ def test_one_corrupted_reference_is_one_failure(name: str) -> None:
         bad = run.Run()
         run.execute(job, bad)
         assert len(bad.failures) == 1, job.label
+
+
+def test_broken_sigma_stack_fails_machine_queries(monkeypatch) -> None:
+    import pamsort.machine as M
+    workload = workloads.QueryMix(3, workloads.SMOKE)
+    # always popping: the first stack passes its input through
+    monkeypatch.setattr(M, "_must_pop", lambda stack, x, bodies: True)
+    failed: dict[str, int] = {}
+    for job in workload.pool:
+        r = run.Run()
+        run.execute(job, r)
+        key = job.props["kind"] + ("-open" if job.props.get("fallback")
+                                   else "")
+        failed[key] = failed.get(key, 0) + len(r.failures)
+    assert failed["sort"] and failed["trace"] and failed["sortable-open"]
 
 
 def test_exits_nonzero_without_sources(tmp_path: Path) -> None:

@@ -87,6 +87,59 @@ def avoids_231(w: Sequence[int]) -> bool:
                    for j in range(n) for i in range(j))
 
 
+def contains(seq: Sequence[int], body: Sequence[int]) -> bool:
+    """Does ``seq`` hold a subsequence order-isomorphic to ``body``?
+    Backtracking over positions; each letter is compared with every
+    letter chosen before it."""
+    k = len(body)
+
+    def rec(start: int, chosen: list[int]) -> bool:
+        j = len(chosen)
+        if j == k:
+            return True
+        for i in range(start, len(seq) - (k - j) + 1):
+            v = seq[i]
+            if all((v < seq[c]) == (body[j] < body[m])
+                   and (v == seq[c]) == (body[j] == body[m])
+                   for m, c in enumerate(chosen)):
+                if rec(i + 1, chosen + [i]):
+                    return True
+        return False
+    return rec(0, [])
+
+
+def bodies_of(key: str) -> tuple[Word, ...]:
+    """Patterns of a machine written ``123-312`` or ``123,312``."""
+    return tuple(tuple(int(c) for c in part)
+                 for part in key.replace(",", "-").split("-"))
+
+
+def two_stack(w: Sequence[int],
+              bodies: Sequence[Word]) -> tuple[Word, Word]:
+    """(first-stack output, final output) of the machine: a right-greedy
+    stack that pops while the next letter on top would make the stack,
+    read top to bottom, contain a pattern of ``bodies``, then a stack that
+    pops while its top is smaller than the next letter."""
+    stack: list[int] = []
+    first: list[int] = []
+    for x in w:
+        while stack and any(contains([x] + stack[::-1], b) for b in bodies):
+            first.append(stack.pop())
+        stack.append(x)
+    first += stack[::-1]
+    stack, final = [], []
+    for x in first:
+        while stack and stack[-1] < x:
+            final.append(stack.pop())
+        stack.append(x)
+    final += stack[::-1]
+    return tuple(first), tuple(final)
+
+
+def sortable(w: Sequence[int], key: str) -> bool:
+    return avoids_231(two_stack(w, bodies_of(key))[0])
+
+
 def strip_word(pi: Sequence[int]) -> Word:
     """For each letter, the index of its horizontal strip: the strips are
     the value intervals between consecutive left-to-right minima.  On a
@@ -150,6 +203,7 @@ ENUM_STRATA = (
 
 class EnumBrute:
     name = "enum-brute"
+    trace_passes = 4
 
     def __init__(self, seed: int, sizes: Sizes):
         self.sizes = sizes
@@ -211,6 +265,7 @@ ORACLE_STRATA = (
 
 class ScanFull:
     name = "scan-full"
+    trace_passes = 4
 
     def __init__(self, seed: int, sizes: Sizes):
         self.sizes = sizes
@@ -303,10 +358,15 @@ class ScanFull:
 ORACLE_SIGMAS = ("12", "21", "123", "132", "321", "123,132", "123,312",
                  "132,231", "132,321", "123,321")
 OPEN_SIGMAS = ("231", "2413", "1324", "312", "213,231")
-# Query kinds with their share of the pool; "sortable" queries fall back
-# to brute force on the open machines, which make the latency tail.
-QUERY_MIX = (("sortable-oracle", 0.35), ("sortable-open", 0.15),
-             ("sort", 0.20), ("trace", 0.10), ("bijection", 0.20))
+# The mix is synthetic: no query traffic is recorded anywhere, so every
+# kind of query gets the same share of the pool, and the machine queries
+# cycle through all the machines above, so a third of the "sortable"
+# queries hit an open machine and fall back to brute force.  The latency
+# tail rests only in part on those: on a 2-core x86 host, query_p99_us was
+# about 12% lower with no open machine among the "sortable" queries and
+# about 3% higher with open machines only.
+QUERY_KINDS = ("sortable", "sort", "trace", "bijection")
+QUERY_SIGMAS = ORACLE_SIGMAS + OPEN_SIGMAS
 BIJECTIONS = ("dyck-av213", "sort123-schroder", "eta", "rgf1221-dyck",
               "av321-rgfnr12321", "delta")
 DELTA_MAX_LEN = 9   # delta is cubic per swap; longer words would dominate
@@ -359,24 +419,17 @@ def _round_trip(kind: str, text: str) -> str:
     return W.format_word(back)
 
 
-def _check_sort(got: str, want: tuple[Word, bool]) -> bool:
-    w, sortable = want
-    out = parse_text(got)
-    return sorted(out) == sorted(w) and (out == tuple(sorted(w))) == sortable
-
-
-def _check_trace(got: str, want: tuple[Word, bool]) -> bool:
-    w, sortable = want
+def _check_trace(got: str, want: tuple[Word, Word, Word, bool]) -> bool:
+    w, first, final, ok = want
     t = json.loads(got)
-    final = tuple(t["final_output"])
-    return (tuple(t["input"]) == w and t["sortable"] == sortable
-            and sorted(final) == sorted(w)
-            and (final == tuple(sorted(w))) == sortable
+    return (tuple(t["input"]) == w and tuple(t["first_output"]) == first
+            and tuple(t["final_output"]) == final and t["sortable"] == ok
             and len(t["steps"]) == 4 * len(w))
 
 
 class QueryMix:
     name = "query-mix"
+    trace_passes = 2
 
     def __init__(self, seed: int, sizes: Sizes):
         self.sizes = sizes
@@ -408,16 +461,15 @@ class QueryMix:
         return w
 
     def _machine_word(self, key: str, n: int, want: bool,
-                      tries: int = 400) -> tuple[Word, bool]:
-        """A length-n word whose brute-force answer is ``want`` where one
-        is found within ``tries`` candidates."""
-        spec = spec_for(key)
+                      tries: int = 400) -> Word:
+        """A length-n word that the ``key`` machine sorts iff ``want``,
+        where one is found within ``tries`` candidates.  The answers come
+        from the benchmark's own simulation, not from pamsort."""
         for _ in range(tries):
             w = tuple(self._candidate(n))
-            got = M.is_sortable(w, spec)
-            if got == want:
+            if sortable(w, key) == want:
                 break
-        return w, got
+        return w
 
     def _dyck_text(self, n: int) -> str:
         while True:
@@ -446,14 +498,14 @@ class QueryMix:
         if kind in ("dyck-av213", "rgf1221-dyck"):
             text = self._dyck_text(n)
         elif kind == "sort123-schroder":
-            text = word_text(self._machine_word("123", n, True)[0])
+            text = word_text(self._machine_word("123", n, True))
         elif kind == "eta":
-            text = word_text(self._machine_word("132", n, True)[0])
+            text = word_text(self._machine_word("132", n, True))
         elif kind == "av321-rgfnr12321":
             text = word_text(self._av321(n))
         else:
             n = min(n, DELTA_MAX_LEN)
-            pi, _ = self._machine_word("132", n, True)
+            pi = self._machine_word("132", n, True)
             text = word_text(strip_word(pi))
         return Job(f"bijection:{kind}", lambda: _round_trip(kind, text),
                    text, lambda got, want: got == want, 1,
@@ -461,31 +513,32 @@ class QueryMix:
 
     def _machine_job(self, kind: str, sigma_text: str, n: int,
                      want: bool) -> Job:
-        w, sortable = self._machine_word(sigma_text.replace(",", "-"), n,
-                                         want)
+        w = self._machine_word(sigma_text, n, want)
+        first, final = two_stack(w, bodies_of(sigma_text))
+        ok = avoids_231(first)
         text = word_text(w)
         props = {"kind": kind, "sigma": sigma_text, "len": n,
-                 "sortable": sortable}
-        if kind.startswith("sortable"):
+                 "sortable": ok}
+        if kind == "sortable":
             props["fallback"] = sigma_text in OPEN_SIGMAS
             return Job(f"sortable:{sigma_text}",
                        lambda: _answer_sortable(sigma_text, text),
-                       "true" if sortable else "false",
+                       "true" if ok else "false",
                        lambda got, want: got == want, 1, props)
-        answer = _answer_sort if kind == "sort" else _answer_trace
-        return Job(f"{kind}:{sigma_text}", lambda: answer(sigma_text, text),
-                   (w, sortable), _check_sort if kind == "sort"
-                   else _check_trace, 1, props)
+        if kind == "sort":
+            return Job(f"sort:{sigma_text}",
+                       lambda: _answer_sort(sigma_text, text), final,
+                       lambda got, want: parse_text(got) == want, 1, props)
+        return Job(f"trace:{sigma_text}",
+                   lambda: _answer_trace(sigma_text, text),
+                   (w, first, final, ok), _check_trace, 1, props)
 
     def _make_pool(self) -> list[Job]:
         lengths = range(self.sizes.min_len, self.sizes.max_len + 1)
         pool: list[Job] = []
-        for kind, share in QUERY_MIX:
-            choices = BIJECTIONS if kind == "bijection" \
-                else OPEN_SIGMAS if kind == "sortable-open" \
-                else ORACLE_SIGMAS if kind == "sortable-oracle" \
-                else ORACLE_SIGMAS + OPEN_SIGMAS
-            for i in range(max(1, round(share * self.sizes.pool))):
+        for kind in QUERY_KINDS:
+            choices = BIJECTIONS if kind == "bijection" else QUERY_SIGMAS
+            for i in range(self.sizes.pool // len(QUERY_KINDS)):
                 choice = choices[i % len(choices)]
                 rest, want = divmod(i // len(choices), 2)
                 n = lengths[rest % len(lengths)]
