@@ -3,11 +3,11 @@ permutations, restricted growth functions and (modified) ascent
 sequences: machines, characterization oracles, bijections, generating
 trees, enumeration formulas and golden-table verification."""
 
-from .words_core import (Domain, SumMode, TrivialMap, Which, Word,
-                         complement, direct_sum, format_word, identity,
-                         inflate, inverse, is_member, ltr_decompose,
-                         ltr_maxima, ltr_minima, modify, parse_word, reverse,
-                         skew_sum, standardize, unmodify)
+from .words_core import (Domain, SumMode, Which, Word, complement,
+                         direct_sum, format_word, identity, inflate, inverse,
+                         is_member, ltr_decompose, ltr_maxima, ltr_minima,
+                         modify, parse_word, reverse, skew_sum, standardize,
+                         unmodify)
 from .patterns import (NAMED, Pattern, PatternKind, PatternParseError,
                        avoids, barred, bivincular, cayley_mesh, classical,
                        contains, format_pattern, mesh, parse_pattern,
@@ -34,7 +34,7 @@ from .bijections import (LabeledMotzkinPath, StoreMode, alpha_strip,
                          rgf1221_to_dyck, rgfnr12321_to_av321,
                          schroder_to_sort123, sort123_to_schroder)
 from .enumeration import (GoldenTable, Method, SequenceId, count_sortable,
-                          enumerate_domain, golden_ids, golden_table,
-                          sequence_value, verify_golden)
+                          golden_ids, golden_table, sequence_value,
+                          verify_golden)
 
 __version__ = "1.0.0"

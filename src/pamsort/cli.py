@@ -204,10 +204,9 @@ def classify_cmd(sigma: str, domain: str, as_json: bool) -> None:
 @_method_opt
 @_strict_opt
 @_maxn_opt
-@click.option("--threads", type=int, default=1)
 @_errors
 def enumerate_cmd(sigma: str, domain: str, n: int, method: str, strict: bool,
-                  max_n: int | None, threads: int) -> None:
+                  max_n: int | None) -> None:
     """Print the number of sortable words of length n."""
     spec = _spec(sigma, domain)
     m = Method(method)
@@ -219,10 +218,9 @@ def enumerate_cmd(sigma: str, domain: str, n: int, method: str, strict: bool,
                 raise
             click.echo("notice: no oracle for this machine, "
                        "falling back to brute force", err=True)
-            count = count_sortable(spec, n, Method.BRUTE, max_n=max_n,
-                                   threads=threads)
+            count = count_sortable(spec, n, Method.BRUTE, max_n=max_n)
     else:
-        count = count_sortable(spec, n, m, max_n=max_n, threads=threads)
+        count = count_sortable(spec, n, m, max_n=max_n)
     click.echo(str(count))
 
 
@@ -322,14 +320,13 @@ def sorted_set_cmd(sigma: str, domain: str, n: int,
 @main.command("verify")
 @click.argument("tables", metavar="[TABLE_ID...]", nargs=-1)
 @_maxn_opt
-@click.option("--threads", type=int, default=1)
 @_json_opt
 @_errors
-def verify_cmd(tables: tuple[str, ...], max_n: int | None, threads: int,
+def verify_cmd(tables: tuple[str, ...], max_n: int | None,
                as_json: bool) -> None:
     """Recompute golden count tables; exit 3 on any divergence."""
     ids = tables or golden_ids()
-    reports = [verify_golden(t, max_n=max_n, threads=threads) for t in ids]
+    reports = [verify_golden(t, max_n=max_n) for t in ids]
     ok = all(r["pass"] for r in reports)
     if as_json:
         click.echo(json.dumps({"pass": ok, "tables": reports}))

@@ -1,6 +1,5 @@
-"""Counting: domain enumerators, sortable-set counting by brute force,
-oracle or generating tree, the closed-form sequence catalogue and the
-golden-table verifier.
+"""Counting: sortable-set counting by brute force, oracle or generating
+tree, the closed-form sequence catalogue and the golden-table verifier.
 
 >>> sequence_value(SequenceId.CATALAN, 5)
 42
@@ -15,7 +14,7 @@ import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .machine import MachineSpec, image_set, iter_domain, sortable_count
 from .oracles import FallbackRequired, oracle_for
@@ -238,28 +237,25 @@ _TREE_RULES: dict[tuple[Domain, tuple[Word, ...]], str] = {
 }
 
 
-def enumerate_domain(d: Domain, n: int,
-                     max_n: int | None = None) -> Iterator[Word]:
-    """All length-n words of the domain in lexicographic order."""
-    return iter_domain(d, n, max_n)
-
-
 def tree_rule_for(spec: MachineSpec) -> str | None:
     return _TREE_RULES.get((spec.domain, tuple(sorted(spec.bodies))))
 
 
 def count_sortable(spec: MachineSpec, n: int,
                    method: Method = Method.BRUTE,
-                   max_n: int | None = None, threads: int = 1) -> int:
+                   max_n: int | None = None) -> int:
     """Number of sortable length-n words, by the requested method.
 
     ORACLE raises :class:`FallbackRequired` on open cases; TREE raises
     ``ValueError`` for machines without a catalogued succession rule.
+    Every method raises ``ValueError`` for n < 0.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
     if n == 0:
         return 1
     if method is Method.BRUTE:
-        return sortable_count(spec, n, max_n=max_n, threads=threads)
+        return sortable_count(spec, n, max_n=max_n)
     if method is Method.ORACLE:
         pred = oracle_for(spec)
         return sum(1 for w in iter_domain(spec.domain, n, max_n) if pred(w))
@@ -332,8 +328,7 @@ def _spec_for_row(table_id: str, key: str) -> MachineSpec | None:
     return None
 
 
-def _row_value(table_id: str, key: str, n: int,
-               threads: int = 1) -> int:
+def _row_value(table_id: str, key: str, n: int) -> int:
     if table_id == "decr":
         return count_dyck_bounded(n, int(key) - 1)
     if table_id == "sorted":
@@ -341,12 +336,11 @@ def _row_value(table_id: str, key: str, n: int,
         return len(image_set(spec, n, sorted_only=True))
     spec = _spec_for_row(table_id, key)
     assert spec is not None
-    return count_sortable(spec, n, Method.BRUTE, threads=threads)
+    return count_sortable(spec, n, Method.BRUTE)
 
 
 def verify_golden(table_id: str, max_n: int | None = None,
-                  rows: Sequence[str] | None = None,
-                  threads: int = 1) -> dict:
+                  rows: Sequence[str] | None = None) -> dict:
     """Recompute a golden table up to its configured cap.  Rows are
     recomputed by brute force; where a closed-form oracle or formula
     exists it is cross-checked too.  Returns a JSON-able report with the
@@ -364,7 +358,7 @@ def verify_golden(table_id: str, max_n: int | None = None,
             n = start + i
             if n > cap:
                 break
-            actual = _row_value(table_id, key, n, threads=threads)
+            actual = _row_value(table_id, key, n)
             checked = n
             if actual != expected:
                 divergence = {"n": n, "expected": expected, "actual": actual}

@@ -19,9 +19,10 @@ True
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .patterns import Pattern, PatternKind, contains_classical, format_pattern
 from .words_core import Domain, Word
@@ -88,26 +89,33 @@ def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> bool:
     return any(contains_classical(seq, b) for b in bodies)
 
 
+def _push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
+          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Push ``x`` right-greedily: pop the top while ``_must_pop`` holds, then
+    push.  Returns (new stack, popped letters in pop order)."""
+    popped: list[int] = []
+    while stack and _must_pop(stack, x, bodies):
+        popped.append(stack[-1])
+        stack = stack[:-1]
+    return stack + (x,), tuple(popped)
+
+
 def sigma_stack_output(w: Sequence[int], spec: MachineSpec,
                        trace: MachineTrace | None = None) -> Word:
     """Output of the Sigma-avoiding stack on ``w`` (the map s^Sigma)."""
     bodies = spec.bodies
-    stack: list[int] = []
+    stack: tuple[int, ...] = ()
     out: list[int] = []
     for x in w:
-        while stack and _must_pop(tuple(stack), x, bodies):
-            v = stack.pop()
-            out.append(v)
-            if trace is not None:
-                trace.steps.append((1, "pop", v))
-        stack.append(x)
+        stack, popped = _push(stack, x, bodies)
+        out.extend(popped)
         if trace is not None:
+            trace.steps.extend((1, "pop", v) for v in popped)
             trace.steps.append((1, "push", x))
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        if trace is not None:
-            trace.steps.append((1, "pop", v))
+    drained = stack[::-1]
+    out.extend(drained)
+    if trace is not None:
+        trace.steps.extend((1, "pop", v) for v in drained)
     return tuple(out)
 
 
@@ -150,18 +158,31 @@ def machine_run(w: Sequence[int], spec: MachineSpec,
     return final, trace
 
 
-def avoids_231(w: Sequence[int]) -> bool:
-    """Incremental check that ``w`` avoids the classical pattern 231."""
-    threshold = 0
-    seen: list[int] = []
-    for y in w:
+_Detector = tuple[tuple[int, ...], int]
+
+
+def _feed_231(detector: _Detector, letters: Iterable[int]) -> _Detector | None:
+    """Feed ``letters`` to an incremental 231 detector; None once the word
+    read so far contains 231.
+
+    The detector is (letters read so far, sorted; threshold): a 231 ends at
+    any later letter below the threshold, the largest letter ``b`` read
+    before some larger letter ``c``.
+    """
+    seen, threshold = detector
+    for y in letters:
         if y < threshold:
-            return False
+            return None
         i = bisect_left(seen, y)
         if i > 0 and seen[i - 1] > threshold:
             threshold = seen[i - 1]
-        insort(seen, y)
-    return True
+        seen = seen[:i] + (y,) + seen[i:]
+    return seen, threshold
+
+
+def avoids_231(w: Sequence[int]) -> bool:
+    """Incremental check that ``w`` avoids the classical pattern 231."""
+    return _feed_231(((), 0), w) is not None
 
 
 def is_sortable(w: Sequence[int], spec: MachineSpec) -> bool:
@@ -170,9 +191,11 @@ def is_sortable(w: Sequence[int], spec: MachineSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Domain enumeration
+# Domain prefix tree
 
 def _check_guard(d: Domain, n: int, max_n: int | None) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
     limit = max_n if max_n is not None else DEFAULT_GUARDS[d]
     if n > limit:
         raise ValueError(
@@ -222,153 +245,91 @@ def _extensions(d: Domain, n: int, prefix: list[int],
         yield v
 
 
+_S = TypeVar("_S")
+
+
+def _walk(d: Domain, n: int, state: _S,
+          step: Callable[[_S, int], _S | None] | None = None
+          ) -> Iterator[tuple[Word, _S]]:
+    """Depth-first walk of the length-n words of domain ``d`` in
+    lexicographic order, yielding (word, state) at each leaf.
+
+    ``state`` is carried down each root-to-leaf path: ``step(state, v)`` is
+    the state after appending ``v``, or None to prune that subtree.  Without
+    ``step`` the state is passed down unchanged.
+    """
+    prefix: list[int] = []
+    used: dict[int, int] = {}
+
+    def rec(state: _S, shape: tuple[int, int]) -> Iterator[tuple[Word, _S]]:
+        if len(prefix) == n:
+            yield tuple(prefix), state
+            return
+        for v in _extensions(d, n, prefix, used, shape):
+            child = state
+            if step is not None:
+                child = step(state, v)
+                if child is None:
+                    continue
+            new_shape = (max(shape[0], v),
+                         shape[1] + (1 if prefix and prefix[-1] < v else 0))
+            prefix.append(v)
+            used[v] = used.get(v, 0) + 1
+            yield from rec(child, new_shape)
+            prefix.pop()
+            if used[v] == 1:
+                del used[v]
+            else:
+                used[v] -= 1
+
+    return rec(state, (0, 0))
+
+
 def iter_domain(d: Domain, n: int, max_n: int | None = None) -> Iterator[Word]:
     """All length-n words of the domain, in lexicographic order."""
     _check_guard(d, n, max_n)
-    if n == 0:
-        yield ()
-        return
-    prefix: list[int] = []
-    used: dict[int, int] = {}
-
-    def rec(state: tuple[int, int]) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in _extensions(d, n, prefix, used, state):
-            new_state = (max(state[0], v),
-                         state[1] + (1 if prefix and prefix[-1] < v else 0))
-            prefix.append(v)
-            used[v] = used.get(v, 0) + 1
-            yield from rec(new_state)
-            prefix.pop()
-            if used[v] == 1:
-                del used[v]
-            else:
-                used[v] -= 1
-
-    yield from rec((0, 0))
+    return (w for w, _ in _walk(d, n, None))
 
 
 # ---------------------------------------------------------------------------
-# Brute-force engines (shared-prefix DFS over the domain)
+# Brute-force engines (shared-prefix walks over the domain)
 
-class _PopCache:
-    """Memoized pop decisions of a Sigma-stack: (stack, incoming) ->
-    (new stack, popped letters)."""
-
-    def __init__(self, bodies: tuple[Word, ...]):
-        self.bodies = bodies
-        self.cache: dict[tuple[tuple[int, ...], int],
-                         tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def push(self, stack: tuple[int, ...], x: int
-             ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        key = (stack, x)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        popped: list[int] = []
-        st = list(stack)
-        while st and _must_pop(tuple(st), x, self.bodies):
-            popped.append(st.pop())
-        st.append(x)
-        result = (tuple(st), tuple(popped))
-        self.cache[key] = result
-        return result
+def _walk_push(spec: MachineSpec) -> Callable[
+        [tuple[int, ...], int], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``_push`` for one walk, memoized: sibling subtrees repeat the same
+    (stack, letter) pairs.  The memo dies with the walk."""
+    return lru_cache(maxsize=None)(partial(_push, bodies=spec.bodies))
 
 
-def _sortable_dfs(spec: MachineSpec, n: int,
-                  on_word: Callable[[Word], None] | None = None,
-                  first_letter: int | None = None) -> int:
-    """Count (and optionally collect) the sortable length-n words, pruning
-    every subtree whose partial first-stack output already contains 231."""
-    d = spec.domain
-    cache = _PopCache(spec.bodies)
-    prefix: list[int] = []
-    used: dict[int, int] = {}
-    out_sorted: list[int] = []  # letters already emitted by the first stack
-    count = 0
+def _sortable_walk(spec: MachineSpec, n: int) -> Iterator[Word]:
+    """The sortable length-n words, pruning every subtree whose partial
+    first-stack output already contains 231."""
+    push = _walk_push(spec)
 
-    def emit_ok(values: Sequence[int], threshold: int,
-                extra: list[int]) -> tuple[bool, int]:
-        """Feed popped values through the incremental 231 detector."""
-        for y in values:
-            if y < threshold:
-                return False, threshold
-            pool = out_sorted if not extra else sorted(out_sorted + extra)
-            i = bisect_left(pool, y)
-            if i > 0 and pool[i - 1] > threshold:
-                threshold = pool[i - 1]
-            extra.append(y)
-        return True, threshold
+    def step(state: tuple[Word, _Detector], v: int
+             ) -> tuple[Word, _Detector] | None:
+        stack, detector = state
+        stack, popped = push(stack, v)
+        detector = _feed_231(detector, popped)
+        return None if detector is None else (stack, detector)
 
-    def rec(stack: tuple[int, ...], threshold: int,
-            state: tuple[int, int]) -> None:
-        nonlocal count
-        k = len(prefix)
-        if k == n:
-            drained = stack[::-1]
-            ok, _ = emit_ok(drained, threshold, [])
-            if ok:
-                count += 1
-                if on_word is not None:
-                    on_word(tuple(prefix))
-            return
-        for v in _extensions(d, n, prefix, used, state):
-            if k == 0 and first_letter is not None and v != first_letter:
-                continue
-            new_stack, popped = cache.push(stack, v)
-            extra: list[int] = []
-            ok, new_threshold = emit_ok(popped, threshold, extra)
-            if not ok:
-                continue
-            for y in popped:
-                insort(out_sorted, y)
-            prefix.append(v)
-            used[v] = used.get(v, 0) + 1
-            new_state = (max(state[0], v),
-                         state[1] + (1 if k > 0 and prefix[-2] < v else 0))
-            rec(new_stack, new_threshold, new_state)
-            prefix.pop()
-            if used[v] == 1:
-                del used[v]
-            else:
-                used[v] -= 1
-            for y in popped:
-                out_sorted.remove(y)
-        return
-
-    if n == 0:
-        if on_word is not None:
-            on_word(())
-        return 1
-    rec((), 0, (0, 0))
-    return count
+    for w, (stack, detector) in _walk(spec.domain, n, ((), ((), 0)), step):
+        if _feed_231(detector, stack[::-1]) is not None:
+            yield w
 
 
-def sortable_count(spec: MachineSpec, n: int, max_n: int | None = None,
-                   threads: int = 1) -> int:
+def sortable_count(spec: MachineSpec, n: int,
+                   max_n: int | None = None) -> int:
     """Number of sortable length-n words of the machine's domain."""
     _check_guard(spec.domain, n, max_n)
-    if threads > 1 and n > 0:
-        from concurrent.futures import ThreadPoolExecutor
-
-        letters = sorted({w0 for w0 in range(1, n + 1)})
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda v: _sortable_dfs(spec, n, first_letter=v), letters)
-        return sum(parts)
-    return _sortable_dfs(spec, n)
+    return sum(1 for _ in _sortable_walk(spec, n))
 
 
 def sortable_words(spec: MachineSpec, n: int,
                    max_n: int | None = None) -> list[Word]:
     """The sortable length-n words, in lexicographic order."""
     _check_guard(spec.domain, n, max_n)
-    found: list[Word] = []
-    _sortable_dfs(spec, n, on_word=found.append)
-    return found
+    return list(_sortable_walk(spec, n))
 
 
 def machine_outputs(spec: MachineSpec, n: int,
@@ -376,37 +337,15 @@ def machine_outputs(spec: MachineSpec, n: int,
     """Yield (input, first-stack output) over the whole domain at length n,
     sharing machine state across common prefixes."""
     _check_guard(spec.domain, n, max_n)
-    d = spec.domain
-    cache = _PopCache(spec.bodies)
-    prefix: list[int] = []
-    used: dict[int, int] = {}
-    out: list[int] = []
+    push = _walk_push(spec)
 
-    def rec(stack: tuple[int, ...],
-            state: tuple[int, int]) -> Iterator[tuple[Word, Word]]:
-        k = len(prefix)
-        if k == n:
-            yield tuple(prefix), tuple(out) + stack[::-1]
-            return
-        for v in _extensions(d, n, prefix, used, state):
-            new_stack, popped = cache.push(stack, v)
-            out.extend(popped)
-            prefix.append(v)
-            used[v] = used.get(v, 0) + 1
-            new_state = (max(state[0], v),
-                         state[1] + (1 if k > 0 and prefix[-2] < v else 0))
-            yield from rec(new_stack, new_state)
-            prefix.pop()
-            if used[v] == 1:
-                del used[v]
-            else:
-                used[v] -= 1
-            del out[len(out) - len(popped):]
+    def step(state: tuple[Word, Word], v: int) -> tuple[Word, Word]:
+        stack, out = state
+        stack, popped = push(stack, v)
+        return stack, out + popped
 
-    if n == 0:
-        yield (), ()
-        return
-    yield from rec((), (0, 0))
+    return ((w, out + stack[::-1])
+            for w, (stack, out) in _walk(spec.domain, n, ((), ()), step))
 
 
 def fertility(w: Sequence[int], spec: MachineSpec,

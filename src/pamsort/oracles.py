@@ -249,14 +249,6 @@ def oracle_for(spec: MachineSpec) -> Callable[[Word], bool]:
     raise FallbackRequired(f"no oracle for domain {d.value}")
 
 
-def has_oracle(spec: MachineSpec) -> bool:
-    try:
-        oracle_for(spec)
-        return True
-    except FallbackRequired:
-        return False
-
-
 def oracle_is_sortable(w: Sequence[int], spec: MachineSpec) -> bool:
     """Closed-form sortability; raises FallbackRequired on open cases."""
     return oracle_for(spec)(tuple(w))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .patterns import Pattern, PatternKind, format_steps, parse_steps
+from .patterns import format_steps, parse_steps
 
 Steps = tuple[str, ...]
 
@@ -154,26 +154,6 @@ def first_return_decomposition(p: LatticePath) -> tuple[LatticePath, LatticePath
             return (LatticePath(p.kind, p.steps[1:i]),
                     LatticePath(p.kind, p.steps[i + 1:]))
     raise AssertionError("valid path must return to the axis")
-
-
-def reverse_path(p: LatticePath) -> LatticePath:
-    """Mirror with respect to a vertical line: reverse the steps and swap
-    U and D."""
-    swap = {"U": "D", "D": "U", "H": "H", "H2": "H2"}
-    return LatticePath(p.kind, tuple(swap[s] for s in reversed(p.steps)))
-
-
-def avoids_consecutive(p: LatticePath, q: str | Sequence[str] | Pattern) -> bool:
-    """Factor (consecutive) avoidance of a step word in the path."""
-    if isinstance(q, Pattern):
-        if q.kind is not PatternKind.PATHCONSEC:
-            raise ValueError("need a path pattern")
-        needle = q.steps
-    else:
-        needle = _as_steps(q)
-    s = p.steps
-    k = len(needle)
-    return not any(s[i:i + k] == needle for i in range(len(s) - k + 1))
 
 
 # ---------------------------------------------------------------------------

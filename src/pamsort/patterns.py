@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .words_core import Word, format_word, is_member, Domain, parse_word
+from .words_core import (Domain, Word, format_word, is_member, parse_word,
+                         standardize)
 
 
 class PatternKind(enum.Enum):
@@ -395,19 +395,34 @@ def _cayleymesh_ok(x: Sequence[int], p: Pattern, occ: Word) -> bool:
     return True
 
 
-def _barred_avoids(x: Sequence[int], p: Pattern) -> bool:
-    body = p.body
-    free = [i for i in range(len(body)) if (i + 1) not in p.bars]
-    from .words_core import standardize
+_OCCURRENCE_CHECKS = {PatternKind.BIVINCULAR: _bivincular_ok,
+                      PatternKind.MESH: _mesh_ok,
+                      PatternKind.CAYLEYMESH: _cayleymesh_ok}
 
-    reduct = standardize(tuple(body[i] for i in free))
-    extendable = set()
-    for occ in _classical_occurrences(x, body):
-        extendable.add(tuple(occ[i] for i in free))
-    for occ in _classical_occurrences(x, reduct):
-        if tuple(occ) not in extendable:
-            return False
-    return True
+
+def _witnesses(w: Word, p: Pattern) -> Iterator[Word]:
+    """Yield the occurrences of ``p`` in ``w`` that witness containment, as
+    0-based index tuples in lexicographic order.
+
+    For barred patterns these are the occurrences of the non-barred reduct
+    that do NOT extend to the underlying pattern.
+    """
+    if p.kind is PatternKind.PATHCONSEC:
+        raise ValueError("use path_contains for step words")
+    if p.kind is PatternKind.BARRED:
+        body = p.body
+        free = [i for i in range(len(body)) if (i + 1) not in p.bars]
+        reduct = standardize(tuple(body[i] for i in free))
+        extendable = {tuple(occ[i] for i in free)
+                      for occ in _classical_occurrences(w, body)}
+        for occ in _classical_occurrences(w, reduct):
+            if occ not in extendable:
+                yield occ
+        return
+    check = _OCCURRENCE_CHECKS.get(p.kind)
+    for occ in _classical_occurrences(w, p.body):
+        if check is None or check(w, p, occ):
+            yield occ
 
 
 def occurrences_of(w: Sequence[int], p: Pattern) -> list[Word]:
@@ -418,30 +433,7 @@ def occurrences_of(w: Sequence[int], p: Pattern) -> list[Word]:
     non-barred reduct that do NOT extend to the underlying pattern (i.e. the
     witnesses of containment).
     """
-    w = tuple(w)
-    if p.kind is PatternKind.PATHCONSEC:
-        raise ValueError("occurrences_of on step words: use path_occurrences")
-    if p.kind is PatternKind.CLASSICAL:
-        return list(_classical_occurrences(w, p.body))
-    if p.kind is PatternKind.BIVINCULAR:
-        return [o for o in _classical_occurrences(w, p.body)
-                if _bivincular_ok(w, p, o)]
-    if p.kind is PatternKind.MESH:
-        return [o for o in _classical_occurrences(w, p.body)
-                if _mesh_ok(w, p, o)]
-    if p.kind is PatternKind.CAYLEYMESH:
-        return [o for o in _classical_occurrences(w, p.body)
-                if _cayleymesh_ok(w, p, o)]
-    # BARRED
-    body = p.body
-    free = [i for i in range(len(body)) if (i + 1) not in p.bars]
-    from .words_core import standardize
-
-    reduct = standardize(tuple(body[i] for i in free))
-    extendable = {tuple(occ[i] for i in free)
-                  for occ in _classical_occurrences(w, body)}
-    return [o for o in _classical_occurrences(w, reduct)
-            if tuple(o) not in extendable]
+    return list(_witnesses(tuple(w), p))
 
 
 def contains(w: Sequence[int], p: Pattern) -> bool:
@@ -449,16 +441,8 @@ def contains(w: Sequence[int], p: Pattern) -> bool:
     w = tuple(w)
     if p.kind is PatternKind.CLASSICAL:
         return contains_classical(w, p.body)
-    if p.kind is PatternKind.BARRED:
-        return not _barred_avoids(w, p)
-    if p.kind is PatternKind.PATHCONSEC:
-        raise ValueError("use path_contains for step words")
-    check = {PatternKind.BIVINCULAR: _bivincular_ok,
-             PatternKind.MESH: _mesh_ok,
-             PatternKind.CAYLEYMESH: _cayleymesh_ok}[p.kind]
-    for occ in _classical_occurrences(w, p.body):
-        if check(w, p, occ):
-            return True
+    for _ in _witnesses(w, p):
+        return True
     return False
 
 

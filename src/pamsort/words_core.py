@@ -42,12 +42,6 @@ class SumMode(enum.Enum):
     SKEW = "skew"
 
 
-class TrivialMap(enum.Enum):
-    INVERSE = "inverse"
-    REVERSE = "reverse"
-    COMPLEMENT = "complement"
-
-
 def word(letters: Iterable[int]) -> Word:
     """Build a word, validating that all letters are positive integers."""
     w = tuple(int(v) for v in letters)
@@ -107,17 +101,8 @@ def asc_set(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(len(w) - 1) if w[i] < w[i + 1])
 
 
-def des_set(w: Sequence[int]) -> tuple[int, ...]:
-    """Descent positions (1-based): indices i with w_i > w_{i+1}."""
-    return tuple(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
 def asc(w: Sequence[int]) -> int:
     return len(asc_set(w))
-
-
-def des(w: Sequence[int]) -> int:
-    return len(des_set(w))
 
 
 def ltr_minima(w: Sequence[int]) -> tuple[int, ...]:
@@ -327,14 +312,6 @@ def complement(w: Word) -> Word:
         return w
     m = max(w) + 1
     return tuple(m - v for v in w)
-
-
-def trivial_bijection(w: Word, which: TrivialMap) -> Word:
-    if which is TrivialMap.INVERSE:
-        return inverse(w)
-    if which is TrivialMap.REVERSE:
-        return reverse(w)
-    return complement(w)
 
 
 def identity(n: int) -> Word:

@@ -51,11 +51,14 @@ def test_enumerate_tree_and_oracle():
     assert r.exit_code == 0 and r.stdout.strip() == "606"
 
 
-def test_enumerate_threads_deterministic():
-    outs = {run("enumerate", "--sigma", "231", "--n", "5", "--method",
-                "brute", "--threads", str(t)).stdout.strip()
-            for t in (1, 2, 3)}
-    assert outs == {"102"}
+def test_enumerate_rejects_negative_n():
+    for sigma, method in (("231", "brute"), ("231", "oracle"),
+                          ("123", "oracle"), ("132,321", "tree")):
+        r = run("enumerate", "--sigma", sigma, "--n", "-1", "--method",
+                method)
+        assert r.exit_code == 1, (sigma, method, r.output)
+        assert "error: n must be >= 0" in r.stderr
+        assert r.stdout == ""
 
 
 def test_bijection_eta_example():

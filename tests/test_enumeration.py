@@ -5,10 +5,10 @@ import pytest
 from pamsort.enumeration import (GoldenTable, Method, SequenceId, a002057,
                                  ballot, bell, binom_transform_catalan,
                                  bounded_dyck_f, catalan, catalan_poly_g,
-                                 count_sortable, enumerate_domain, fishburn,
-                                 fubini, golden_ids, golden_table, narayana,
-                                 odd_fibonacci, pair123_321, sequence_value,
-                                 sort123_formula, verify_golden, xi_count)
+                                 count_sortable, fishburn, fubini, golden_ids,
+                                 golden_table, narayana, odd_fibonacci,
+                                 pair123_321, sequence_value, sort123_formula,
+                                 verify_golden, xi_count)
 from pamsort.machine import MachineSpec, iter_domain
 from pamsort.oracles import FallbackRequired
 from pamsort.patterns import classical, contains
@@ -96,8 +96,8 @@ def test_sequence_value_dispatch():
 
 
 def test_enumerate_domain_counts():
-    assert sum(1 for _ in enumerate_domain(Domain.CAYLEY, 3)) == 13
-    assert [sum(1 for _ in enumerate_domain(Domain.ASC, n))
+    assert sum(1 for _ in iter_domain(Domain.CAYLEY, 3)) == 13
+    assert [sum(1 for _ in iter_domain(Domain.ASC, n))
             for n in range(1, 7)] == [fishburn(n) for n in range(1, 7)]
 
 

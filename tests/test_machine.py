@@ -11,7 +11,8 @@ from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, encode_labeled_path,
                              machine_outputs, machine_run, sigma_stack_output,
                              sortable_count, sortable_words, stack21_output)
 from pamsort.patterns import classical, contains
-from pamsort.words_core import Domain, identity, reverse, standardize
+from pamsort.words_core import (Domain, identity, is_member, reverse,
+                                standardize)
 
 
 def spec(*bodies, domain=Domain.PERM):
@@ -113,12 +114,6 @@ def test_guard_enforced_and_overridable():
     assert len(next(it)) == n
 
 
-def test_sortable_count_thread_independent():
-    s = spec((2, 3, 1))
-    for threads in (1, 2, 3):
-        assert sortable_count(s, 5, threads=threads) == 102
-
-
 def test_fertility_examples():
     s = spec((1, 2, 3))
     count, pre = fertility((1, 2), s)
@@ -180,10 +175,53 @@ def test_reverse_path_law_sigma_11():
             assert pw.labels == tuple(reversed(pg.labels))
 
 
+# Naive references for the prefix-tree walker; they use nothing from
+# pamsort.machine.
+
+def naive_contains(seq, body):
+    """Brute force: some subsequence of ``seq`` is order-isomorphic to
+    ``body``."""
+    return any(all((a < b) == (p < q) and (a == b) == (p == q)
+                   for (a, p), (b, q) in itertools.combinations(
+                       zip(sub, body), 2))
+               for sub in itertools.combinations(seq, len(body)))
+
+
+def naive_sigma_stack(w, bodies):
+    """Right-greedy Sigma-stack: pop while the stack read top to bottom,
+    with the incoming letter on top, would contain a forbidden pattern."""
+    stack, out = [], []
+    for x in w:
+        while stack and any(naive_contains([x] + stack[::-1], b)
+                            for b in bodies):
+            out.append(stack.pop())
+        stack.append(x)
+    return tuple(out + stack[::-1])
+
+
+def naive_domain(d, n):
+    return [w for w in itertools.product(range(1, n + 1), repeat=n)
+            if is_member(w, d)]
+
+
+WALK_SIGMAS = [((1, 1),), ((1, 2),), ((2, 1),), ((1, 2, 3),),
+               ((1, 3, 2, 4),), ((1, 3, 2), (3, 2, 1))]
+
+
 def test_machine_outputs_matches_direct_map():
-    s = spec((1, 3, 2))
-    for n in range(1, 6):
-        pairs = dict(machine_outputs(s, n))
-        direct = {w: sigma_stack_output(w, s)
-                  for w in iter_domain(Domain.PERM, n)}
-        assert pairs == direct
+    for d in Domain:
+        for n in range(0, 6):
+            words = naive_domain(d, n)
+            assert list(iter_domain(d, n)) == words, (d, n)
+            for bodies in WALK_SIGMAS:
+                if d is Domain.PERM and bodies == ((1, 1),):
+                    continue
+                s = spec(*bodies, domain=d)
+                direct = [(w, naive_sigma_stack(w, bodies)) for w in words]
+                assert list(machine_outputs(s, n)) == direct, (d, bodies, n)
+                assert [(w, sigma_stack_output(w, s)) for w in words] == \
+                    direct, (d, bodies, n)
+                sortable = [w for w, out in direct
+                            if not naive_contains(out, (2, 3, 1))]
+                assert sortable_words(s, n) == sortable, (d, bodies, n)
+                assert sortable_count(s, n) == len(sortable), (d, bodies, n)

@@ -120,3 +120,7 @@ def test_path_pattern_factor_matching():
     p = path_pattern(("U", "H2", "D"))
     assert path_contains(("U", "U", "H2", "D", "D"), p)
     assert not path_contains(("U", "H2", "U", "D", "D"), p)
+    with pytest.raises(ValueError, match="path_contains"):
+        occurrences_of((1, 2), p)
+    with pytest.raises(ValueError, match="path_contains"):
+        contains((1, 2), p)
