@@ -18,8 +18,10 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
+from .machine import MachineSpec
+from .oracles import oracle_for, sortable_123
 from .paths_trees import LatticePath, PathKind, dyck_path, schroder_path
-from .patterns import contains, contains_classical
+from .patterns import classical, contains, contains_classical, occurrences_of
 from .words_core import (Domain, Which, Word, inflate, is_member,
                          ltr_decompose, ltr_minima, standardize)
 
@@ -114,8 +116,6 @@ def sort123_to_schroder(pi: Sequence[int]) -> LatticePath:
     """Encode a 123-sortable permutation of length n as a Schroeder path
     of semilength n-1: leading consecutive-ascent prefix -> leading H2
     run, stripped maxima -> trailing H2 run, core -> Dyck path."""
-    from .oracles import sortable_123
-
     w = tuple(pi)
     if not is_member(w, Domain.PERM) or not w:
         raise ValueError(f"expected a nonempty permutation: {w}")
@@ -183,10 +183,6 @@ def _strip_index(strips: list[tuple[int, int]], v: int) -> int:
 def eta(pi: Sequence[int]) -> Word:
     """Record, for each element, the index of its horizontal strip (the
     value interval between consecutive ltr minima)."""
-    from .oracles import oracle_for
-    from .machine import MachineSpec
-    from .patterns import classical
-
     w = tuple(pi)
     if not is_member(w, Domain.PERM):
         raise ValueError(f"expected a permutation: {w}")
@@ -490,21 +486,6 @@ def av321_to_rgfnr12321(pi: Sequence[int]) -> Word:
 # ---------------------------------------------------------------------------
 # delta: RGFs avoiding 12231 <-> RGFs avoiding 12321
 
-def _occurrences(R: Word, vals: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """Index triples realizing the classical value pattern (by relative
-    order with strict inequalities as in 321 / 231)."""
-    n = len(R)
-    out: list[tuple[int, int, int]] = []
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            for i3 in range(i2 + 1, n):
-                trip = (R[i1], R[i2], R[i3])
-                ranks = standardize(trip)
-                if ranks == vals and len(set(trip)) == 3:
-                    out.append((i1, i2, i3))
-    return out
-
-
 def delta(R: Sequence[int]) -> Word:
     """Repeatedly swap the first two letters of the lexicographically
     rightmost occurrence of 321 until the word avoids 321."""
@@ -514,8 +495,9 @@ def delta(R: Sequence[int]) -> Word:
     if contains_classical(R, (1, 2, 2, 3, 1)):
         raise ValueError(f"RGF contains 12231: {R}")
     w = list(R)
+    p321 = classical((3, 2, 1))
     for _ in range(len(R) ** 3 + 1):
-        occs = _occurrences(tuple(w), (3, 2, 1))
+        occs = occurrences_of(w, p321)
         if not occs:
             return tuple(w)
         i1, i2, _ = max(occs)
@@ -533,9 +515,10 @@ def delta_inverse(R: Sequence[int]) -> Word:
     if contains_classical(R, (1, 2, 3, 2, 1)):
         raise ValueError(f"RGF contains 12321: {R}")
     w = list(R)
+    p231 = classical((2, 3, 1))
     for _ in range(len(R) ** 3 + 1):
         found = None
-        for occ in sorted(_occurrences(tuple(w), (2, 3, 1))):
+        for occ in occurrences_of(w, p231):
             i1 = occ[0]
             if w.index(w[i1]) < i1:  # repeated value
                 found = occ

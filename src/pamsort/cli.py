@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from typing import Callable, TypeVar
 
 import click
 
@@ -31,6 +32,7 @@ from .paths_trees import format_path
 from .words_core import Domain, Word, format_word, is_member, parse_word
 
 _DOMAINS = {d.value: d for d in Domain}
+_T = TypeVar("_T")
 
 
 class _ParseFailure(Exception):
@@ -99,6 +101,20 @@ def _spec(sigma: str, domain: str) -> MachineSpec:
     return MachineSpec(_patterns(sigma), _DOMAINS[domain])
 
 
+def _oracle_or_brute(oracle: Callable[[], _T], brute: Callable[[], _T],
+                     strict: bool) -> _T:
+    """The oracle's answer; where the machine has no oracle, the brute-force
+    answer with a notice on stderr, or the error under ``--strict``."""
+    try:
+        return oracle()
+    except FallbackRequired:
+        if strict:
+            raise
+        click.echo("notice: no oracle for this machine, "
+                   "falling back to brute force", err=True)
+        return brute()
+
+
 _sigma_opt = click.option("--sigma", required=True,
                           help="comma-separated forbidden pattern specs")
 _domain_opt = click.option("--domain", default="perm",
@@ -160,14 +176,8 @@ def sortable_cmd(sigma: str, domain: str, method: str, strict: bool,
     if method == Method.BRUTE.value:
         ans = is_sortable(w, spec)
     else:
-        try:
-            ans = oracle_is_sortable(w, spec)
-        except FallbackRequired:
-            if strict:
-                raise
-            click.echo("notice: no oracle for this machine, "
-                       "falling back to brute force", err=True)
-            ans = is_sortable(w, spec)
+        ans = _oracle_or_brute(lambda: oracle_is_sortable(w, spec),
+                               lambda: is_sortable(w, spec), strict)
     click.echo("true" if ans else "false")
 
 
@@ -211,14 +221,10 @@ def enumerate_cmd(sigma: str, domain: str, n: int, method: str, strict: bool,
     spec = _spec(sigma, domain)
     m = Method(method)
     if m is Method.ORACLE:
-        try:
-            count = count_sortable(spec, n, m, max_n=max_n)
-        except FallbackRequired:
-            if strict:
-                raise
-            click.echo("notice: no oracle for this machine, "
-                       "falling back to brute force", err=True)
-            count = count_sortable(spec, n, Method.BRUTE, max_n=max_n)
+        count = _oracle_or_brute(
+            lambda: count_sortable(spec, n, m, max_n=max_n),
+            lambda: count_sortable(spec, n, Method.BRUTE, max_n=max_n),
+            strict)
     else:
         count = count_sortable(spec, n, m, max_n=max_n)
     click.echo(str(count))

@@ -252,8 +252,6 @@ def count_sortable(spec: MachineSpec, n: int,
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got n={n}")
-    if n == 0:
-        return 1
     if method is Method.BRUTE:
         return sortable_count(spec, n, max_n=max_n)
     if method is Method.ORACLE:
@@ -262,7 +260,7 @@ def count_sortable(spec: MachineSpec, n: int,
     rule_id = tree_rule_for(spec)
     if rule_id is None:
         raise ValueError(f"no catalogued generating tree for {spec}")
-    return rule_level_counts(rule_catalog(rule_id), n)[n - 1]
+    return rule_level_counts(rule_catalog(rule_id), n)[n - 1] if n else 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
+from .paths_trees import LatticePath, PathKind, matching
 from .patterns import Pattern, PatternKind, contains_classical, format_pattern
 from .words_core import Domain, Word
 
@@ -57,6 +58,10 @@ class MachineSpec:
     @property
     def bodies(self) -> tuple[Word, ...]:
         return tuple(p.body for p in self.sigma)
+
+    def __str__(self) -> str:
+        names = ",".join(format_pattern(p) for p in self.sigma)
+        return f"sigma={names} on {self.domain.value}"
 
 
 @dataclass
@@ -200,7 +205,7 @@ def _check_guard(d: Domain, n: int, max_n: int | None) -> None:
     if n > limit:
         raise ValueError(
             f"n={n} exceeds the guard {limit} for domain {d.value}; "
-            "pass max_n to override")
+            "pass max_n (CLI: --max-n) to override")
 
 
 def _extensions(d: Domain, n: int, prefix: list[int],
@@ -380,35 +385,15 @@ class LabeledDyckPath:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        h = 0
-        for s in self.steps:
-            if s not in ("U", "D"):
-                raise ValueError(f"invalid Dyck step {s!r}")
-            h += 1 if s == "U" else -1
-            if h < 0:
-                raise ValueError("path falls below the x-axis")
-        if h != 0:
-            raise ValueError("path does not end on the x-axis")
+        path = LatticePath(PathKind.DYCK, self.steps)
         if len(self.labels) != len(self.steps):
             raise ValueError("one label per step required")
-        for i, j in matching_pairs(self.steps):
+        for i, j in matching(path):
             if self.labels[i] != self.labels[j]:
                 raise ValueError("matching steps must share labels")
 
     def step_word(self) -> str:
         return "".join(self.steps)
-
-
-def matching_pairs(steps: Sequence[str]) -> list[tuple[int, int]]:
-    """Indices (up, matching down) for each up step of a Dyck path."""
-    stack: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    for i, s in enumerate(steps):
-        if s == "U":
-            stack.append(i)
-        else:
-            pairs.append((stack.pop(), i))
-    return sorted(pairs)
 
 
 def encode_labeled_path(w: Sequence[int], spec: MachineSpec) -> LabeledDyckPath:

@@ -23,11 +23,11 @@ from math import comb
 from typing import Callable, Sequence
 
 from .machine import MachineSpec, image_set, is_sortable, iter_domain
-from .patterns import (NAMED, Pattern, barred, classical, contains,
-                       contains_classical, format_pattern)
-from .words_core import (Domain, Which, Word, combine,
-                         decreasing, is_member, ltr_decompose, reverse,
-                         standardize, SumMode)
+from .patterns import (NAMED, Pattern, PatternKind, barred, classical,
+                       contains, contains_classical, format_pattern)
+from .words_core import (Domain, SumMode, Which, Word, combine, decreasing,
+                         format_word, is_member, ltr_decompose, reverse,
+                         standardize)
 
 
 class FallbackRequired(Exception):
@@ -55,12 +55,6 @@ def hat(sigma: Sequence[int]) -> Word:
 
 def _hat_ge_231(sigma: Word) -> bool:
     return contains_classical(hat(sigma), (2, 3, 1))
-
-
-def _cayley_direct_sum(x: Word, y: Word) -> Word:
-    """Direct sum on Cayley words: y is shifted above max(x)."""
-    shift = max(x) if x else 0
-    return x + tuple(v + shift for v in y)
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +159,56 @@ def _sortable_123_312(w: Word) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Oracle dispatch
+# Known sortable sets and oracle dispatch
 
 _BARRED_21 = barred((3, 5, 2, 4, 1), bars=(2,))
+
+
+def _sortable_basis(sigma: Word, domain: Domain) -> tuple[Pattern, ...] | None:
+    """Avoidance basis of the sigma-machine's sortable set on the domain,
+    or None where no basis is known."""
+    if domain in (Domain.PERM, Domain.CAYLEY):
+        if sigma == (1, 2):
+            return (classical((2, 1, 3)),)
+        if sigma == (2, 1):
+            return (classical((2, 3, 4, 1)),
+                    _BARRED_21 if domain is Domain.PERM else NAMED["zeta"])
+        if domain is Domain.PERM and sigma == (1, 3, 2):
+            return (classical((2, 3, 1, 4)), NAMED["mu"])
+        if len(sigma) >= 3 and _hat_ge_231(sigma):
+            # {132, R(sigma)}, collapsed to {132} when R(sigma) >= 132
+            r = reverse(sigma)
+            if contains_classical(r, (1, 3, 2)):
+                return (classical((1, 3, 2)),)
+            return (classical((1, 3, 2)), classical(r))
+    elif domain in (Domain.ASC, Domain.MODASC):
+        if sigma == (1, 1):
+            return (classical((1, 2, 1, 3)), classical((1, 2, 2, 3)))
+        if sigma in ((1, 2), (1, 2, 1)):
+            return (classical((2, 1, 3)),)
+        if contains_classical(sigma, (1, 2, 3)):
+            return (classical((1, 3, 2)),)
+        if (domain is Domain.MODASC and len(sigma) >= 3
+                and standardize(sigma[:3]) == (1, 2, 2)):
+            # {132, R(sigma) (+) 1}
+            return (classical((1, 3, 2)),
+                    classical(reverse(sigma) + (max(sigma) + 1,)))
+    return None
 
 
 def _avoider(*ps: Pattern) -> Callable[[Word], bool]:
     return lambda w: not any(contains(w, p) for p in ps)
 
 
-def _basis_132_R(sigma: Word) -> tuple[Pattern, ...]:
-    """Basis {132, R(sigma)}, collapsed to {132} when R(sigma) >= 132."""
-    r = reverse(sigma)
-    if contains_classical(r, (1, 3, 2)):
-        return (classical((1, 3, 2)),)
-    return (classical((1, 3, 2)), classical(r))
+_PAIR_ORACLES: dict[tuple[Word, ...], Callable[[Word], bool]] = {
+    ((1, 2, 3), (1, 3, 2)): _sortable_123_132,
+    ((1, 2, 3), (3, 1, 2)): _sortable_123_312,
+    ((1, 2, 3), (3, 2, 1)):
+        lambda w: sortable_123(w) and not contains_classical(w, (1, 2, 3)),
+    ((1, 3, 2), (2, 3, 1)):
+        _avoider(classical((1, 3, 2, 4)), classical((2, 3, 1, 4))),
+    ((1, 3, 2), (3, 2, 1)): _avoider(NAMED["mu"], classical((1, 2, 3))),
+}
 
 
 def oracle_for(spec: MachineSpec) -> Callable[[Word], bool]:
@@ -189,64 +218,15 @@ def oracle_for(spec: MachineSpec) -> Callable[[Word], bool]:
     """
     d = spec.domain
     bodies = tuple(sorted(spec.bodies))
-    single = spec.bodies[0] if len(spec.bodies) == 1 else None
-
-    if d is Domain.PERM:
-        if single is not None:
-            if single == (1, 2):
-                return _avoider(classical((2, 1, 3)))
-            if single == (2, 1):
-                return _avoider(classical((2, 3, 4, 1)), _BARRED_21)
-            if single == (1, 2, 3):
-                return sortable_123
-            if single == (1, 3, 2):
-                return _avoider(classical((2, 3, 1, 4)), NAMED["mu"])
-            if _hat_ge_231(single):
-                return _avoider(*_basis_132_R(single))
-            raise FallbackRequired(f"open case: sigma={single} on perms")
-        if len(bodies) == 2:
-            pair_table = {
-                ((1, 2, 3), (1, 3, 2)): _sortable_123_132,
-                ((1, 2, 3), (3, 1, 2)): _sortable_123_312,
-                ((1, 3, 2), (2, 3, 1)):
-                    _avoider(classical((1, 3, 2, 4)), classical((2, 3, 1, 4))),
-                ((1, 3, 2), (3, 2, 1)):
-                    _avoider(NAMED["mu"], classical((1, 2, 3))),
-            }
-            if bodies in pair_table:
-                return pair_table[bodies]
-            if bodies == ((1, 2, 3), (3, 2, 1)):
-                return lambda w: (sortable_123(w)
-                                  and not contains_classical(w, (1, 2, 3)))
-            raise FallbackRequired(f"open case: pair {bodies} on perms")
-        raise FallbackRequired(f"no oracle for pattern set {bodies}")
-
-    if single is None:
-        raise FallbackRequired(f"no oracle for pattern set {bodies} on {d.value}")
-
-    if d is Domain.CAYLEY:
-        if single == (1, 2):
-            return _avoider(classical((2, 1, 3)))
-        if single == (2, 1):
-            return _avoider(classical((2, 3, 4, 1)), NAMED["zeta"])
-        if len(single) >= 3 and _hat_ge_231(single):
-            return _avoider(*_basis_132_R(single))
-        raise FallbackRequired(f"open case: sigma={single} on Cayley words")
-
-    if d in (Domain.ASC, Domain.MODASC):
-        if single == (1, 1):
-            return _avoider(classical((1, 2, 1, 3)), classical((1, 2, 2, 3)))
-        if single in ((1, 2), (1, 2, 1)):
-            return _avoider(classical((2, 1, 3)))
-        if contains_classical(single, (1, 2, 3)):
-            return _avoider(classical((1, 3, 2)))
-        if (d is Domain.MODASC and len(single) >= 3
-                and standardize(single[:3]) == (1, 2, 2)):
-            extra = _cayley_direct_sum(reverse(single), (1,))
-            return _avoider(classical((1, 3, 2)), classical(extra))
-        raise FallbackRequired(f"open case: sigma={single} on {d.value}")
-
-    raise FallbackRequired(f"no oracle for domain {d.value}")
+    if d is Domain.PERM and bodies == ((1, 2, 3),):
+        return sortable_123
+    if len(bodies) == 1:
+        basis = _sortable_basis(bodies[0], d)
+        if basis is not None:
+            return _avoider(*basis)
+    elif d is Domain.PERM and bodies in _PAIR_ORACLES:
+        return _PAIR_ORACLES[bodies]
+    raise FallbackRequired(f"open case: {spec}")
 
 
 def oracle_is_sortable(w: Sequence[int], spec: MachineSpec) -> bool:
@@ -272,7 +252,6 @@ class Classification:
             return f"class with basis {{{names}}}"
         assert self.witness is not None
         w, p = self.witness
-        from .words_core import format_word
         return (f"not a class: sortable {format_word(w)} contains "
                 f"non-sortable {format_pattern(p)}")
 
@@ -298,9 +277,11 @@ _PERM_WITNESS_3 = {
 
 
 def _perm_nonclass_witness(sigma: Word) -> tuple[Word, Word]:
-    """Sortable word containing the non-sortable pattern 132, for a
-    permutation sigma of length >= 4 whose hat avoids 231."""
-    k = len(sigma)
+    """Sortable word and a non-sortable pattern it contains, for a
+    permutation sigma whose hat avoids 231: from the table at length 3,
+    else with the pattern 132."""
+    if sigma in _PERM_WITNESS_3:
+        return _PERM_WITNESS_3[sigma]
     if sigma[0] < sigma[1]:
         z = sigma[0]
         sp = tuple(v if v < sigma[0] else v + 1 for v in sigma)
@@ -335,7 +316,9 @@ def _asc_nonclass_witness(sigma: Word) -> tuple[Word, Word]:
     return alpha, (1, 2, 3, 2)
 
 
-def _modasc_nonclass_witness(sigma: Word) -> tuple[Word, Word]:
+def _modasc_nonclass_witness(sigma: Word) -> tuple[Word, Word] | None:
+    if len(sigma) < 4:
+        return None
     m = max(sigma)
     if sigma[1] == 1:
         alpha = tuple(reversed(sigma[1:])) + (m + 2, sigma[0], m + 1)
@@ -374,89 +357,46 @@ def _search_witness(sigma: Word, domain: Domain,
     return None
 
 
-def _finish_nonclass(sigma: Word, domain: Domain,
-                     word: Word, pat: Word) -> Classification:
-    c = Classification(sigma, domain, False,
-                       witness=(word, classical(pat)))
-    if verify_witness(c):
-        return c
-    found = _search_witness(sigma, domain)
-    if found is None:
-        raise UnsupportedError(
-            f"no verifiable non-class witness found for {sigma} on "
-            f"{domain.value}")
-    return Classification(sigma, domain, False, witness=found)
+_NONCLASS_WITNESS: dict[Domain, Callable[[Word], tuple[Word, Word] | None]] = {
+    Domain.PERM: _perm_nonclass_witness,
+    Domain.CAYLEY: _cayley_nonclass_witness,
+    Domain.ASC: _asc_nonclass_witness,
+    Domain.MODASC: _modasc_nonclass_witness,
+}
 
 
 def classify(sigma: Sequence[int], domain: Domain = Domain.PERM) -> Classification:
     """Is Sort(sigma) a pattern class in the given domain?  Returns the
-    basis for classes and a mechanical witness for non-classes."""
+    basis for classes and a mechanical witness for non-classes.
+
+    The sortable set is a class exactly when its known basis holds no mesh
+    or Cayley-mesh pattern.
+    """
     s = tuple(sigma)
     if len(s) < 2:
         raise ValueError("classify requires a pattern of length >= 2")
-    if not is_member(s, {Domain.PERM: Domain.PERM,
-                         Domain.CAYLEY: Domain.CAYLEY,
-                         Domain.RGF: Domain.RGF,
-                         Domain.ASC: Domain.ASC,
-                         Domain.MODASC: Domain.MODASC}[domain]):
+    if not is_member(s, domain):
         raise ValueError(f"{s} is not a valid {domain.value} pattern")
+    if domain not in _NONCLASS_WITNESS:
+        raise UnsupportedError(
+            f"classification is not defined on {domain.value}")
 
-    if domain is Domain.PERM:
-        if s == (1, 2):
-            return Classification(s, domain, True, (classical((2, 1, 3)),))
-        if s == (2, 1):
-            return Classification(
-                s, domain, True, (classical((2, 3, 4, 1)), _BARRED_21))
-        if _hat_ge_231(s):
-            return Classification(s, domain, True, _basis_132_R(s))
-        if s in _PERM_WITNESS_3:
-            w, p = _PERM_WITNESS_3[s]
-            return _finish_nonclass(s, domain, w, p)
-        w, p = _perm_nonclass_witness(s)
-        return _finish_nonclass(s, domain, w, p)
-
-    if domain is Domain.CAYLEY:
-        if s == (1, 2):
-            return Classification(s, domain, True, (classical((2, 1, 3)),))
-        if len(s) >= 3 and _hat_ge_231(s):
-            return Classification(s, domain, True, _basis_132_R(s))
-        w, p = _cayley_nonclass_witness(s)
-        return _finish_nonclass(s, domain, w, p)
-
-    if domain is Domain.ASC:
-        if s == (1, 1):
-            return Classification(s, domain, True,
-                                  (classical((1, 2, 1, 3)),
-                                   classical((1, 2, 2, 3))))
-        if s in ((1, 2), (1, 2, 1)):
-            return Classification(s, domain, True, (classical((2, 1, 3)),))
-        if contains_classical(s, (1, 2, 3)):
-            return Classification(s, domain, True, (classical((1, 3, 2)),))
-        w, p = _asc_nonclass_witness(s)
-        return _finish_nonclass(s, domain, w, p)
-
-    if domain is Domain.MODASC:
-        if s == (1, 1):
-            return Classification(s, domain, True,
-                                  (classical((1, 2, 1, 3)),
-                                   classical((1, 2, 2, 3))))
-        if s in ((1, 2), (1, 2, 1)):
-            return Classification(s, domain, True, (classical((2, 1, 3)),))
-        if contains_classical(s, (1, 2, 3)):
-            return Classification(s, domain, True, (classical((1, 3, 2)),))
-        if len(s) >= 3 and standardize(s[:3]) == (1, 2, 2):
-            extra = _cayley_direct_sum(reverse(s), (1,))
-            return Classification(s, domain, True,
-                                  (classical((1, 3, 2)), classical(extra)))
-        if len(s) >= 4:
-            w, p = _modasc_nonclass_witness(s)
-            return _finish_nonclass(s, domain, w, p)
-        found = _search_witness(s, domain)
-        if found is None:
-            raise UnsupportedError(f"no witness found for {s} on modasc")
-        return Classification(s, domain, False, witness=found)
-
-    raise UnsupportedError(f"classification is not defined on {domain.value}")
+    basis = _sortable_basis(s, domain)
+    if basis is not None and not any(
+            p.kind in (PatternKind.MESH, PatternKind.CAYLEYMESH) for p in basis):
+        return Classification(s, domain, True, basis)
+    built = _NONCLASS_WITNESS[domain](s)
+    if built is not None:
+        c = Classification(s, domain, False,
+                           witness=(built[0], classical(built[1])))
+        if verify_witness(c):
+            return c
+    found = _search_witness(s, domain)
+    if found is None:
+        raise UnsupportedError(
+            f"no verifiable non-class witness found for {s} on "
+            f"{domain.value}")
+    return Classification(s, domain, False, witness=found)
 
 
 # ---------------------------------------------------------------------------

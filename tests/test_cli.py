@@ -49,6 +49,22 @@ def test_enumerate_tree_and_oracle():
     assert r.exit_code == 0 and r.stdout.strip() == "99"
     r = run("enumerate", "--sigma", "132,321", "--n", "8", "--method", "tree")
     assert r.exit_code == 0 and r.stdout.strip() == "606"
+    r = run("enumerate", "--sigma", "132,321", "--n", "0", "--method", "tree")
+    assert r.exit_code == 0 and r.stdout.strip() == "1"
+    # n = 0 still needs a tree rule or an oracle
+    for n in ("0", "1"):
+        r = run("enumerate", "--sigma", "231", "--n", n, "--method", "tree")
+        assert r.exit_code == 1 and r.stdout == ""
+        assert ("no catalogued generating tree for sigma=231 on perm"
+                in r.stderr)
+    r = run("enumerate", "--sigma", "231", "--n", "0", "--method", "oracle",
+            "--strict")
+    assert r.exit_code == 1 and r.stdout == ""
+    r = run("enumerate", "--sigma", "231", "--n", "0", "--method", "oracle")
+    assert r.exit_code == 0 and r.stdout.strip() == "1"
+    assert "falling back to brute force" in r.stderr
+    r = run("enumerate", "--sigma", "132,321", "--n", "12")
+    assert r.exit_code == 1 and "--max-n" in r.stderr
 
 
 def test_enumerate_rejects_negative_n():

@@ -62,13 +62,21 @@ def test_classify_class_cases_perm():
 
 
 def test_classify_basis_matches_brute_sortability():
+    # every class basis for a sigma of length 2-4, on every domain word up
+    # to length 6 (Cayley words: length 5)
     from pamsort.patterns import avoids
-    for body in [(1, 2), (2, 1), (3, 2, 1)]:
-        c = classify(body)
-        s = spec(body)
-        for n in range(1, 7):
-            for w in iter_domain(Domain.PERM, n):
-                assert is_sortable(w, s) == avoids(w, *c.basis), (body, w)
+    for dom, top in ((Domain.PERM, 6), (Domain.CAYLEY, 5), (Domain.ASC, 6),
+                     (Domain.MODASC, 6)):
+        words = [w for n in range(1, top + 1) for w in iter_domain(dom, n)]
+        for k in (2, 3, 4):
+            for body in iter_domain(dom, k):
+                c = classify(body, dom)
+                if not c.is_class:
+                    continue
+                s = spec(body, dom)
+                for w in words:
+                    assert is_sortable(w, s) == avoids(w, *c.basis), \
+                        (body, dom, w)
 
 
 def test_classify_nonclass_cases_perm():
