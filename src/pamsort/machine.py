@@ -8,6 +8,12 @@ would create a forbidden occurrence; the stack is drained when the input is
 exhausted.  An input is sortable when the final output is weakly
 increasing, equivalently when the first stack's output avoids 231.
 
+The first stack avoids Sigma before every push: it starts empty, popping
+from the top keeps a stack Sigma-avoiding, and a letter is pushed only
+once no occurrence would start at it.  So any occurrence that a push
+could create starts at the incoming letter, and the pop check searches
+only for those.
+
 >>> from .patterns import classical
 >>> spec = MachineSpec((classical((2, 3, 1)),))
 >>> sigma_stack_output((2, 4, 1, 3), spec)
@@ -89,9 +95,16 @@ class MachineTrace:
 
 def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> bool:
     """Would the stack, with ``x`` on top and read top to bottom, contain a
-    forbidden pattern?"""
+    forbidden pattern?
+
+    The stack avoids Sigma before each push (see the module docstring), so
+    only occurrences in which ``x`` plays the first letter are searched.
+    """
     seq = (x,) + stack[::-1]
-    return any(contains_classical(seq, b) for b in bodies)
+    for b in bodies:
+        if contains_classical(seq, b, anchored=True):
+            return True
+    return False
 
 
 def _push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
@@ -230,12 +243,14 @@ def _extensions(d: Domain, n: int, prefix: list[int],
         hi = 1 if k == 0 else 2 + ascents
         yield from range(1, hi + 1)
         return
-    # CAYLEY / MODASC: letters must finally cover 1..max
+    # CAYLEY / MODASC: letters must finally cover 1..max.  Every used
+    # letter is at most cur_max <= new_max, so the letters of 1..new_max
+    # still missing after v are counted without a scan.
     slots_left = n - k - 1
+    n_used = len(used)
     for v in range(1, n + 1):
         new_max = max(cur_max, v)
-        missing = sum(1 for u in range(1, new_max + 1)
-                      if u != v and u not in used)
+        missing = new_max - n_used - (v not in used)
         if missing > slots_left:
             continue
         if d is Domain.MODASC:
@@ -266,7 +281,11 @@ def _walk(d: Domain, n: int, state: _S,
     prefix: list[int] = []
     used: dict[int, int] = {}
 
-    def rec(state: _S, shape: tuple[int, int]) -> Iterator[tuple[Word, _S]]:
+    # rec gets itself as an argument: a closure that names itself is a
+    # reference cycle, which would keep the walk's state (the memo of
+    # ``_walk_push`` in ``step``) alive until a full garbage collection.
+    def rec(rec: Callable[..., Iterator[tuple[Word, _S]]], state: _S,
+            shape: tuple[int, int]) -> Iterator[tuple[Word, _S]]:
         if len(prefix) == n:
             yield tuple(prefix), state
             return
@@ -280,14 +299,14 @@ def _walk(d: Domain, n: int, state: _S,
                          shape[1] + (1 if prefix and prefix[-1] < v else 0))
             prefix.append(v)
             used[v] = used.get(v, 0) + 1
-            yield from rec(child, new_shape)
+            yield from rec(rec, child, new_shape)
             prefix.pop()
             if used[v] == 1:
                 del used[v]
             else:
                 used[v] -= 1
 
-    return rec(state, (0, 0))
+    return rec(rec, state, (0, 0))
 
 
 def iter_domain(d: Domain, n: int, max_n: int | None = None) -> Iterator[Word]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .words_core import (Domain, Word, format_word, is_member, parse_word,
                          standardize)
@@ -344,9 +344,71 @@ def _classical_occurrences(x: Sequence[int], body: Word) -> Iterator[Word]:
     yield from rec(0, 0)
 
 
-def contains_classical(x: Sequence[int], body: Word) -> bool:
-    for _ in _classical_occurrences(x, body):
-        return True
+def contains_classical(x: Sequence[int], body: Word,
+                       anchored: bool = False) -> bool:
+    """Does ``x`` contain the classical pattern ``body``?  With
+    ``anchored``, only occurrences in which ``x[0]`` plays ``body[0]``
+    count (the sigma-stack's pop check).  Letters are positive integers.
+
+    The backtracking of :func:`_classical_occurrences`, but it stops at the
+    first occurrence and bounds each fresh letter class once per level
+    instead of once per position.
+
+    >>> contains_classical((4, 2, 3, 1), (2, 3, 1))
+    True
+    >>> contains_classical((4, 2, 3, 1), (2, 3, 1), anchored=True)
+    False
+    """
+    k = len(body)
+    n = len(x)
+    if k == 0:
+        return not anchored
+    if k > n:
+        return False
+    m = max(body)
+    assign = [0] * (m + 1)  # value bound to each letter class, 0 = unassigned
+    top = max(x) + 1
+
+    # rec gets itself as an argument: a closure that names itself is a
+    # reference cycle, left for the garbage collector on every call.
+    def rec(rec: Callable[..., bool], start: int, t: int) -> bool:
+        if t == k:
+            return True
+        c = body[t]
+        stop = n - k + t + 1
+        a = assign[c]
+        if a:
+            for p in range(start, stop):
+                if x[p] == a and rec(rec, p + 1, t + 1):
+                    return True
+            return False
+        lo = 0
+        for d in range(c - 1, 0, -1):
+            if assign[d]:
+                lo = assign[d]
+                break
+        hi = top
+        for d in range(c + 1, m + 1):
+            if assign[d]:
+                hi = assign[d]
+                break
+        for p in range(start, stop):
+            v = x[p]
+            if lo < v < hi:
+                assign[c] = v
+                if rec(rec, p + 1, t + 1):
+                    return True
+        assign[c] = 0
+        return False
+
+    first = body[0]
+    if anchored:
+        assign[first] = x[0]
+        return rec(rec, 1, 1)
+    for p in range(n - k + 1):
+        assign[first] = x[p]
+        if rec(rec, p + 1, 1):
+            return True
     return False
 
 

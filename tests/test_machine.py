@@ -1,9 +1,12 @@
 """Unit tests for the two-stack machine."""
 
+import gc
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamsort.enumeration import bell, fishburn, fubini
 from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, encode_labeled_path,
@@ -11,7 +14,7 @@ from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, encode_labeled_path,
                              machine_outputs, machine_run, sigma_stack_output,
                              sortable_count, sortable_words, stack21_output)
 from pamsort.patterns import classical, contains
-from pamsort.words_core import (Domain, identity, is_member, reverse,
+from pamsort.words_core import (Domain, identity, is_member, modify, reverse,
                                 standardize)
 
 
@@ -225,3 +228,68 @@ def test_machine_outputs_matches_direct_map():
                             if not naive_contains(out, (2, 3, 1))]
                 assert sortable_words(s, n) == sortable, (d, bodies, n)
                 assert sortable_count(s, n) == len(sortable), (d, bodies, n)
+
+
+# Property tests: random words of length 8-16 in every domain against the
+# naive references above.
+
+@st.composite
+def domain_words(draw, d, min_len=8, max_len=16):
+    """A random word of domain ``d``, built letter by letter."""
+    n = draw(st.integers(min_len, max_len))
+    if d is Domain.PERM:
+        return tuple(draw(st.permutations(range(1, n + 1))))
+    if d is Domain.CAYLEY:
+        return standardize(draw(st.lists(st.integers(1, n), min_size=n,
+                                         max_size=n)))
+    w = []
+    for _ in range(n):
+        if d is Domain.RGF:
+            hi = max(w, default=0) + 1
+        else:
+            hi = 1 if not w else 2 + sum(a < b for a, b in zip(w, w[1:]))
+        w.append(draw(st.integers(1, hi)))
+    return modify(tuple(w)) if d is Domain.MODASC else tuple(w)
+
+
+# Cayley bodies of length 2-5; repeated-letter bodies are drawn often.
+SIGMA_BODIES = st.one_of(
+    st.sampled_from([(1, 1), (1, 2, 1), (1, 2, 2, 1)]),
+    st.integers(2, 5).flatmap(lambda k: st.lists(
+        st.integers(1, k), min_size=k, max_size=k).map(standardize)))
+
+
+@pytest.mark.parametrize("d", list(Domain), ids=lambda d: d.value)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sigma_stack_matches_naive_on_long_words(d, data):
+    w = data.draw(domain_words(d))
+    assert is_member(w, d)
+    bodies = tuple(data.draw(st.lists(SIGMA_BODIES, min_size=1, max_size=2)))
+    s = spec(*bodies, domain=d)
+    naive = naive_sigma_stack(w, bodies)
+    sortable = not naive_contains(naive, (2, 3, 1))
+    assert sigma_stack_output(w, s) == naive
+    assert is_sortable(w, s) == sortable
+    final, trace = machine_run(w, s, with_trace=True)
+    first = [(op, v) for stk, op, v in trace.steps if stk == 1]
+    assert [v for op, v in first if op == "push"] == list(w)
+    assert [v for op, v in first if op == "pop"] == list(naive)
+    assert trace.first_output == naive
+    assert trace.sortable == sortable
+    assert (final == tuple(sorted(w))) == sortable
+
+
+def test_walks_leave_no_reference_cycles():
+    # a walk's pop memo must be freed when the walk ends, not at the next
+    # full garbage collection
+    s = spec((1, 3, 2, 4), domain=Domain.CAYLEY)
+    gc.collect()
+    gc.disable()
+    try:
+        sortable_count(s, 5)
+        list(machine_outputs(s, 5))
+        sigma_stack_output((2, 4, 1, 3, 3), s)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

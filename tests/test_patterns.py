@@ -3,13 +3,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamsort.enumeration import xi_count
 from pamsort.machine import iter_domain
 from pamsort.patterns import (NAMED, PatternKind, PatternParseError, avoids,
                               barred, bivincular, classical, contains,
-                              format_pattern, mesh, occurrences_of,
-                              parse_pattern, path_contains, path_pattern)
+                              contains_classical, format_pattern, mesh,
+                              occurrences_of, parse_pattern, path_contains,
+                              path_pattern)
 from pamsort.words_core import Domain, standardize
 
 
@@ -124,3 +127,20 @@ def test_path_pattern_factor_matching():
         occurrences_of((1, 2), p)
     with pytest.raises(ValueError, match="path_contains"):
         contains((1, 2), p)
+
+
+# Property tests: the boolean search against the occurrence generator, with
+# and without the anchor.
+
+CAYLEY_BODIES = st.integers(1, 5).flatmap(lambda k: st.lists(
+    st.integers(1, k), min_size=k, max_size=k).map(standardize))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.integers(1, 8), max_size=12).map(tuple),
+       body=CAYLEY_BODIES)
+def test_contains_classical_matches_occurrences(w, body):
+    occs = occurrences_of(w, classical(body))
+    assert contains_classical(w, body) == bool(occs)
+    assert contains_classical(w, body, anchored=True) == \
+        any(o[0] == 0 for o in occs)
