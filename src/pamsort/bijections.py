@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .machine import MachineSpec
-from .oracles import oracle_for, sortable_123
+from .oracles import _strip_anchored_max, oracle_for, sortable_123
 from .paths_trees import LatticePath, PathKind, dyck_path, schroder_path
 from .patterns import classical, contains, contains_classical, occurrences_of
 from .words_core import (Domain, Which, Word, inflate, is_member,
@@ -98,17 +98,6 @@ def phi_add_max(pi: Sequence[int]) -> Word:
     return w[:i] + (m + 1,) + w[i:]
 
 
-def _strip_max(w: Word) -> Word:
-    """Inverse step of phi: remove the maximum, checking it sits
-    immediately after its anchor."""
-    n = len(w)
-    pos = w.index(n)
-    anchor = n - 1 if w[0] != n - 1 else n - 2
-    if pos == 0 or w[pos - 1] != anchor:
-        raise ValueError(f"maximum of {w} is not anchored")
-    return w[:pos] + w[pos + 1:]
-
-
 # ---------------------------------------------------------------------------
 # 123-sortable permutations <-> Schroeder paths
 
@@ -127,7 +116,7 @@ def sort123_to_schroder(pi: Sequence[int]) -> LatticePath:
     beta = standardize(w[r:])
     s = 0
     while beta[0] != len(beta):
-        beta = _strip_max(beta)
+        beta = _strip_anchored_max(beta)
         s += 1
     rho = standardize(beta[1:])
     middle = av213_to_dyck(rho).steps if rho else ()

@@ -120,9 +120,14 @@ _sigma_opt = click.option("--sigma", required=True,
 _domain_opt = click.option("--domain", default="perm",
                            type=click.Choice(sorted(_DOMAINS)),
                            help="word domain (default perm)")
-_method_opt = click.option("--method", default="oracle",
-                           type=click.Choice([m.value for m in Method]),
-                           help="oracle falls back to brute force")
+
+
+def _method_opt(methods: tuple[Method, ...]):
+    return click.option("--method", default="oracle",
+                        type=click.Choice([m.value for m in methods]),
+                        help="oracle falls back to brute force")
+
+
 _strict_opt = click.option("--strict", is_flag=True,
                            help="fail instead of falling back to brute force")
 _maxn_opt = click.option("--max-n", type=int, default=None,
@@ -164,7 +169,7 @@ def trace_cmd(sigma: str, domain: str, word_text: str) -> None:
 @main.command("sortable")
 @_sigma_opt
 @_domain_opt
-@_method_opt
+@_method_opt((Method.BRUTE, Method.ORACLE))
 @_strict_opt
 @click.argument("word_text", metavar="WORD")
 @_errors
@@ -211,7 +216,7 @@ def classify_cmd(sigma: str, domain: str, as_json: bool) -> None:
 @_sigma_opt
 @_domain_opt
 @click.option("--n", type=int, required=True)
-@_method_opt
+@_method_opt(tuple(Method))
 @_strict_opt
 @_maxn_opt
 @_errors

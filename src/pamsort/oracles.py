@@ -71,15 +71,24 @@ def sortable_123(w: Sequence[int]) -> bool:
     if w[0] < w[1]:
         return False
     # peel maxima: each maximum must sit immediately after its anchor
-    while True:
-        n = len(w)
-        if w[0] == n:
-            return not contains_classical(w, (2, 1, 3))
-        pos = w.index(n)
-        anchor = n - 1 if w[0] != n - 1 else n - 2
-        if w[pos - 1] != anchor:
+    while w[0] != len(w):
+        w = _strip_anchored_max(w)
+        if w is None:
             return False
-        w = w[:pos] + w[pos + 1:]
+    return not contains_classical(w, (2, 1, 3))
+
+
+def _strip_anchored_max(w: Word) -> Word | None:
+    """``w`` without its maximum n if n sits immediately after its anchor:
+    n-1, or n-2 when ``w`` starts with n-1.  None otherwise.  ``w`` is a
+    permutation that does not start with n.  The inverse step of
+    :func:`pamsort.bijections.phi_add_max`."""
+    n = len(w)
+    pos = w.index(n)
+    anchor = n - 1 if w[0] != n - 1 else n - 2
+    if w[pos - 1] != anchor:
+        return None
+    return w[:pos] + w[pos + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .words_core import (Domain, Word, format_word, is_member, parse_word,
                          standardize)
@@ -295,99 +295,55 @@ def format_pattern(p: Pattern) -> str:
 # ---------------------------------------------------------------------------
 # Occurrence search
 
-def _classical_occurrences(x: Sequence[int], body: Word) -> Iterator[Word]:
-    """Yield 0-based index tuples of classical occurrences of ``body`` in
-    ``x``, in lexicographic order."""
-    k = len(body)
-    n = len(x)
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
-    m = max(body)
-    assign = [0] * (m + 1)  # value bound to each letter class, 0 = unassigned
-    idx: list[int] = []
-
-    def rec(start: int, t: int) -> Iterator[Word]:
-        if t == k:
-            yield tuple(idx)
-            return
-        c = body[t]
-        for p in range(start, n - (k - t) + 1):
-            v = x[p]
-            if assign[c]:
-                if v != assign[c]:
-                    continue
-                fresh = False
-            else:
-                ok = True
-                for d in range(c - 1, 0, -1):
-                    if assign[d]:
-                        ok = v > assign[d]
-                        break
-                if ok:
-                    for d in range(c + 1, m + 1):
-                        if assign[d]:
-                            ok = v < assign[d]
-                            break
-                if not ok:
-                    continue
-                assign[c] = v
-                fresh = True
-            idx.append(p)
-            yield from rec(p + 1, t + 1)
-            idx.pop()
-            if fresh:
-                assign[c] = 0
-
-    yield from rec(0, 0)
+_NO_BOUND = float("inf")  # upper bound of a letter class with none above it
 
 
-def contains_classical(x: Sequence[int], body: Word,
-                       anchored: bool = False) -> bool:
-    """Does ``x`` contain the classical pattern ``body``?  With
-    ``anchored``, only occurrences in which ``x[0]`` plays ``body[0]``
-    count (the sigma-stack's pop check).  Letters are positive integers.
+def _search(x: Sequence[int], body: Word,
+            accept: Callable[[Word], object] | None = None,
+            anchored: bool = False) -> bool:
+    """Walk the classical occurrences of ``body`` in ``x``, as 0-based index
+    tuples in lexicographic order, and stop at the first one that ``accept``
+    takes (any one when ``accept`` is None).  Returns whether it stopped.
+    With ``anchored``, only occurrences in which ``x[0]`` plays ``body[0]``
+    are walked.
 
-    The backtracking of :func:`_classical_occurrences`, but it stops at the
-    first occurrence and bounds each fresh letter class once per level
-    instead of once per position.
-
-    >>> contains_classical((4, 2, 3, 1), (2, 3, 1))
-    True
-    >>> contains_classical((4, 2, 3, 1), (2, 3, 1), anchored=True)
-    False
+    The one backtracking search behind every pattern query: each fresh
+    letter class is bounded once per level by its nearest bound classes.
+    Letters are positive integers, since 0 marks an unbound class.
     """
+    if x and min(x) < 1:
+        raise ValueError(f"letters must be positive integers: {tuple(x)}")
     k = len(body)
     n = len(x)
     if k == 0:
-        return not anchored
+        return not anchored and (accept is None or bool(accept(())))
     if k > n:
         return False
     m = max(body)
     assign = [0] * (m + 1)  # value bound to each letter class, 0 = unassigned
-    top = max(x) + 1
+    idx = [0] * k
 
     # rec gets itself as an argument: a closure that names itself is a
     # reference cycle, left for the garbage collector on every call.
     def rec(rec: Callable[..., bool], start: int, t: int) -> bool:
         if t == k:
-            return True
+            return accept is None or bool(accept(tuple(idx)))
         c = body[t]
         stop = n - k + t + 1
         a = assign[c]
         if a:
             for p in range(start, stop):
-                if x[p] == a and rec(rec, p + 1, t + 1):
-                    return True
+                if x[p] == a:
+                    idx[t] = p
+                    if rec(rec, p + 1, t + 1):
+                        return True
             return False
         lo = 0
         for d in range(c - 1, 0, -1):
             if assign[d]:
                 lo = assign[d]
                 break
-        hi = top
+        hi = _NO_BOUND
         for d in range(c + 1, m + 1):
             if assign[d]:
                 hi = assign[d]
@@ -396,25 +352,41 @@ def contains_classical(x: Sequence[int], body: Word,
             v = x[p]
             if lo < v < hi:
                 assign[c] = v
+                idx[t] = p
                 if rec(rec, p + 1, t + 1):
                     return True
         assign[c] = 0
         return False
 
     first = body[0]
-    if anchored:
+    if anchored:  # idx[0] is already 0
         assign[first] = x[0]
         return rec(rec, 1, 1)
     for p in range(n - k + 1):
         assign[first] = x[p]
+        idx[0] = p
         if rec(rec, p + 1, 1):
             return True
     return False
 
 
+def contains_classical(x: Sequence[int], body: Word,
+                       anchored: bool = False) -> bool:
+    """Does ``x`` contain the classical pattern ``body``?  With
+    ``anchored``, only occurrences in which ``x[0]`` plays ``body[0]``
+    count (the sigma-stack's pop check).  Letters are positive integers;
+    a word with a letter below 1 raises ``ValueError``.
+
+    >>> contains_classical((4, 2, 3, 1), (2, 3, 1))
+    True
+    >>> contains_classical((4, 2, 3, 1), (2, 3, 1), anchored=True)
+    False
+    """
+    return _search(x, body, anchored=anchored)
+
+
 def _bivincular_ok(x: Sequence[int], p: Pattern, occ: Word) -> bool:
     n = len(x)
-    k = len(p.body)
     pos = [0] + [i + 1 for i in occ] + [n + 1]  # 1-based with sentinels
     vals = [0] + sorted(x[i] for i in occ) + [n + 1]
     for s in p.S:
@@ -462,50 +434,61 @@ _OCCURRENCE_CHECKS = {PatternKind.BIVINCULAR: _bivincular_ok,
                       PatternKind.CAYLEYMESH: _cayleymesh_ok}
 
 
-def _witnesses(w: Word, p: Pattern) -> Iterator[Word]:
-    """Yield the occurrences of ``p`` in ``w`` that witness containment, as
-    0-based index tuples in lexicographic order.
+def _search_terms(w: Word, p: Pattern
+                  ) -> tuple[Word, Callable[[Word], bool] | None]:
+    """The classical body to search ``w`` for and the predicate that makes
+    an occurrence of it a witness of ``p``.
 
-    For barred patterns these are the occurrences of the non-barred reduct
-    that do NOT extend to the underlying pattern.
+    For barred patterns the body is the non-barred reduct, and its
+    occurrences that do NOT extend to the underlying pattern are witnesses.
     """
     if p.kind is PatternKind.PATHCONSEC:
         raise ValueError("use path_contains for step words")
     if p.kind is PatternKind.BARRED:
-        body = p.body
-        free = [i for i in range(len(body)) if (i + 1) not in p.bars]
-        reduct = standardize(tuple(body[i] for i in free))
-        extendable = {tuple(occ[i] for i in free)
-                      for occ in _classical_occurrences(w, body)}
-        for occ in _classical_occurrences(w, reduct):
-            if occ not in extendable:
-                yield occ
-        return
+        free = [i for i in range(len(p.body)) if (i + 1) not in p.bars]
+        extendable: set[Word] = set()
+        _search(w, p.body,
+                lambda occ: extendable.add(tuple(occ[i] for i in free)))
+        reduct = standardize(tuple(p.body[i] for i in free))
+        return reduct, lambda occ: occ not in extendable
     check = _OCCURRENCE_CHECKS.get(p.kind)
-    for occ in _classical_occurrences(w, p.body):
-        if check is None or check(w, p, occ):
-            yield occ
+    if check is None:
+        return p.body, None
+    return p.body, lambda occ: check(w, p, occ)
 
 
 def occurrences_of(w: Sequence[int], p: Pattern) -> list[Word]:
     """All occurrences of ``p`` in ``w`` as 0-based index tuples, in
-    lexicographic order.
+    lexicographic order.  Letters are positive integers; a word with a
+    letter below 1 raises ``ValueError``.
 
     For barred patterns the returned occurrences are the occurrences of the
     non-barred reduct that do NOT extend to the underlying pattern (i.e. the
     witnesses of containment).
     """
-    return list(_witnesses(tuple(w), p))
+    w = tuple(w)
+    body, accept = _search_terms(w, p)
+    found: list[Word] = []
+
+    def collect(occ: Word) -> bool:
+        if accept is None or accept(occ):
+            found.append(occ)
+        return False
+
+    _search(w, body, collect)
+    return found
 
 
 def contains(w: Sequence[int], p: Pattern) -> bool:
-    """Does ``w`` contain the pattern ``p``?"""
+    """Does ``w`` contain the pattern ``p``?  Letters are positive
+    integers; a word with a letter below 1 raises ``ValueError``."""
     w = tuple(w)
-    if p.kind is PatternKind.CLASSICAL:
-        return contains_classical(w, p.body)
-    for _ in _witnesses(w, p):
-        return True
-    return False
+    body, accept = _search_terms(w, p)
+    if accept is None:
+        # a classical pattern: one call of the function that traced runs
+        # count as a pattern check
+        return contains_classical(w, body)
+    return _search(w, body, accept)
 
 
 def avoids(w: Sequence[int], *ps: Pattern) -> bool:

@@ -128,8 +128,8 @@ def is_member(w: Word, d: Domain) -> bool:
 
     - PERM: rearrangement of 1..n.
     - CAYLEY: letters cover 1..max.
-    - RGF: x1 = 1 and x_{i+1} <= 1 + max(x_1..x_i).
-    - ASC: x1 = 1 and x_{i+1} <= 2 + asc(x_1..x_i).
+    - RGF: x1 = 1 and 1 <= x_{i+1} <= 1 + max(x_1..x_i).
+    - ASC: x1 = 1 and 1 <= x_{i+1} <= 2 + asc(x_1..x_i).
     - MODASC: a Cayley permutation with x1 = 1 in which an entry greater
       than 1 is the leftmost occurrence of its value exactly when it is an
       ascent top.
@@ -146,7 +146,7 @@ def is_member(w: Word, d: Domain) -> bool:
             return False
         running_max = 1
         for v in w[1:]:
-            if v > running_max + 1:
+            if not 1 <= v <= running_max + 1:
                 return False
             running_max = max(running_max, v)
         return True
@@ -155,7 +155,7 @@ def is_member(w: Word, d: Domain) -> bool:
             return False
         ascents = 0
         for i in range(1, n):
-            if w[i] > 2 + ascents:
+            if not 1 <= w[i] <= 2 + ascents:
                 return False
             if w[i] > w[i - 1]:
                 ascents += 1

@@ -91,6 +91,8 @@ def test_eta_rejects_non_sortable():
         eta((2, 3, 1, 4))     # not 132-sortable
     with pytest.raises(ValueError):
         eta_inverse((1, 2, 2, 3, 1))
+    with pytest.raises(ValueError, match="expected an RGF"):
+        eta_inverse((1, 0))
 
 
 def test_rgf1221_dyck_round_trip():
@@ -138,6 +140,8 @@ def test_alpha_strip():
     # removes copies of the running maximum that are not strict maxima
     assert alpha_strip((1, 2, 2, 3, 1)) == (1, 2, 3, 1)
     assert alpha_strip((1, 2, 3)) == (1, 2, 3)
+    with pytest.raises(ValueError, match="expected an RGF"):
+        alpha_strip((1, 0, 2))
 
 
 def test_rgfnr12321_round_trip():

@@ -28,6 +28,9 @@ def test_sortable_false_and_brute_method():
     assert r.exit_code == 0 and r.stdout.strip() == "false"
     r = run("sortable", "--sigma", "123", "--method", "brute", "4132")
     assert r.exit_code == 0 and r.stdout.strip() == "true"
+    # sortable has no tree method: a usage error, not a silent oracle run
+    r = run("sortable", "--sigma", "123", "--method", "tree", "4132")
+    assert r.exit_code == 2 and r.stdout == ""
 
 
 def test_sortable_fallback_and_strict():

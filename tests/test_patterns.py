@@ -129,8 +129,8 @@ def test_path_pattern_factor_matching():
         contains((1, 2), p)
 
 
-# Property tests: the boolean search against the occurrence generator, with
-# and without the anchor.
+# Property tests: the search against a naive scan of every index subset,
+# with and without the anchor.
 
 CAYLEY_BODIES = st.integers(1, 5).flatmap(lambda k: st.lists(
     st.integers(1, k), min_size=k, max_size=k).map(standardize))
@@ -140,7 +140,18 @@ CAYLEY_BODIES = st.integers(1, 5).flatmap(lambda k: st.lists(
 @given(w=st.lists(st.integers(1, 8), max_size=12).map(tuple),
        body=CAYLEY_BODIES)
 def test_contains_classical_matches_occurrences(w, body):
-    occs = occurrences_of(w, classical(body))
-    assert contains_classical(w, body) == bool(occs)
+    naive = [occ for occ in itertools.combinations(range(len(w)), len(body))
+             if standardize([w[i] for i in occ]) == body]
+    assert occurrences_of(w, classical(body)) == naive
+    assert contains_classical(w, body) == bool(naive)
     assert contains_classical(w, body, anchored=True) == \
-        any(o[0] == 0 for o in occs)
+        any(o[0] == 0 for o in naive)
+
+
+def test_letters_below_one_are_rejected():
+    with pytest.raises(ValueError, match="positive"):
+        contains_classical((0, 1), (1, 1))
+    with pytest.raises(ValueError, match="positive"):
+        contains((1, -2), classical((2, 1)))
+    with pytest.raises(ValueError, match="positive"):
+        occurrences_of((0, 2, 1), parse_pattern("@mu"))

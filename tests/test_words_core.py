@@ -44,6 +44,9 @@ def test_membership():
     assert is_member((1, 2, 1, 3), Domain.ASC)
     assert not is_member((1, 3), Domain.ASC)
     assert is_member((1, 2, 2), Domain.ASC)
+    # letters are positive in every domain
+    assert not is_member((1, 0), Domain.RGF)
+    assert not is_member((1, -3, 1), Domain.ASC)
     # modified ascent sequences are Cayley words fixed by modify
     assert is_member((1, 3, 1, 2), Domain.MODASC)
 
