@@ -25,9 +25,10 @@ True
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .paths_trees import LatticePath, PathKind, matching
@@ -317,29 +318,75 @@ def iter_domain(d: Domain, n: int, max_n: int | None = None) -> Iterator[Word]:
 
 # ---------------------------------------------------------------------------
 # Brute-force engines (shared-prefix walks over the domain)
+#
+# The first stack pops from the top, so the letters on it leave in top-down
+# order after everything already emitted: "output so far + stack read
+# top-down" (the drain) is a subsequence of the final output.  The walks
+# that want a constrained output prune on the drain, not only on the
+# emitted letters.
+
+def _drain_push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
+                ) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
+    """``_push``, plus what the 231 drain prune needs of the stack left
+    under ``x``: (new stack, popped letters, smallest letter of the new
+    stack, whether some letter above ``x`` sits above some letter below
+    ``x`` in the rest of the stack read top-down)."""
+    stack, popped = _push(stack, x, bodies)
+    above = split = False
+    for y in reversed(stack):
+        if y > x:
+            above = True
+        elif y < x and above:
+            split = True
+            break
+    return stack, popped, min(stack), split
+
 
 def _walk_push(spec: MachineSpec) -> Callable[
-        [tuple[int, ...], int], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """``_push`` for one walk, memoized: sibling subtrees repeat the same
-    (stack, letter) pairs.  The memo dies with the walk."""
-    return lru_cache(maxsize=None)(partial(_push, bodies=spec.bodies))
+        [tuple[int, ...], int],
+        tuple[tuple[int, ...], tuple[int, ...], int, bool]]:
+    """``_drain_push`` for one walk, memoized: sibling subtrees repeat the
+    same (stack, letter) pairs.  The memo dies with the walk."""
+    return lru_cache(maxsize=None)(partial(_drain_push, bodies=spec.bodies))
 
 
-def _sortable_walk(spec: MachineSpec, n: int) -> Iterator[Word]:
-    """The sortable length-n words, pruning every subtree whose partial
-    first-stack output already contains 231."""
+_SortState = tuple[tuple[int, ...], _Detector, Word]
+
+
+def _sortable_walk(spec: MachineSpec, n: int
+                   ) -> Iterator[tuple[Word, _SortState]]:
+    """The sortable length-n words, each with its state (stack, 231
+    detector of the emitted letters, emitted letters).
+
+    A subtree is pruned once its drain contains 231.  Pushing ``x`` pops
+    the letters P and leaves the rest R of the stack under it, so the drain
+    E.P.R of the parent (E the letters emitted before) becomes E.P.x.R.
+    The parent's drain avoids 231, so a new occurrence uses ``x``, as
+    (a) the 1: ``x`` is below the detector's threshold once P is fed;
+    (b) the 3: some letter of E.P lies strictly between min(R) and ``x``;
+    (c) the 2: in R a letter above ``x`` sits above a letter below ``x``.
+    Every leaf is then sortable: its drain is its first-stack output.
+    """
     push = _walk_push(spec)
 
-    def step(state: tuple[Word, _Detector], v: int
-             ) -> tuple[Word, _Detector] | None:
-        stack, detector = state
-        stack, popped = push(stack, v)
+    def step(state: _SortState, v: int) -> _SortState | None:
+        stack, detector, out = state
+        stack, popped, low, split = push(stack, v)
+        if split:                                           # (c)
+            return None
+        # E.P is a prefix of the parent's drain, so it avoids 231
         detector = _feed_231(detector, popped)
-        return None if detector is None else (stack, detector)
+        assert detector is not None
+        seen, threshold = detector
+        if v < threshold:                                   # (a)
+            return None
+        # low is min(R) when that lies below v, else v: an empty interval
+        i = bisect_right(seen, low)
+        if i < len(seen) and seen[i] < v:                   # (b)
+            return None
+        return stack, detector, out + popped
 
-    for w, (stack, detector) in _walk(spec.domain, n, ((), ((), 0)), step):
-        if _feed_231(detector, stack[::-1]) is not None:
-            yield w
+    return _walk(spec.domain, n, ((), ((), 0), ()), step)
 
 
 def sortable_count(spec: MachineSpec, n: int,
@@ -353,7 +400,7 @@ def sortable_words(spec: MachineSpec, n: int,
                    max_n: int | None = None) -> list[Word]:
     """The sortable length-n words, in lexicographic order."""
     _check_guard(spec.domain, n, max_n)
-    return list(_sortable_walk(spec, n))
+    return [w for w, _ in _sortable_walk(spec, n)]
 
 
 def machine_outputs(spec: MachineSpec, n: int,
@@ -365,7 +412,7 @@ def machine_outputs(spec: MachineSpec, n: int,
 
     def step(state: tuple[Word, Word], v: int) -> tuple[Word, Word]:
         stack, out = state
-        stack, popped = push(stack, v)
+        stack, popped, _, _ = push(stack, v)
         return stack, out + popped
 
     return ((w, out + stack[::-1])
@@ -374,23 +421,48 @@ def machine_outputs(spec: MachineSpec, n: int,
 
 def fertility(w: Sequence[int], spec: MachineSpec,
               max_n: int | None = None) -> tuple[int, list[Word]]:
-    """Number (and list) of preimages of ``w`` under the first-stack map,
-    scanning the whole domain at the word's length."""
+    """Number (and list, in lexicographic order) of preimages of ``w``
+    under the first-stack map.
+
+    The walk over the domain at the word's length carries the number k of
+    letters of ``w`` emitted so far.  It prunes a subtree once the popped
+    letters differ from the next letters of ``w``, or once the stack read
+    top-down is no longer a subsequence of ``w[k:]``: the stack's letters
+    leave in that order, after the letters already emitted.
+    """
     w = tuple(w)
-    preimages = [src for src, out in machine_outputs(spec, len(w), max_n)
-                 if out == w]
+    _check_guard(spec.domain, len(w), max_n)
+    push = _walk_push(spec)
+
+    def step(state: tuple[tuple[int, ...], int], v: int
+             ) -> tuple[tuple[int, ...], int] | None:
+        stack, k = state
+        stack, popped, _, _ = push(stack, v)
+        end = k + len(popped)
+        if w[k:end] != popped:
+            return None
+        rest = islice(w, end, None)
+        if not all(y in rest for y in reversed(stack)):
+            return None
+        return stack, end
+
+    preimages = [src for src, _ in _walk(spec.domain, len(w), ((), 0), step)]
     return len(preimages), preimages
 
 
 def image_set(spec: MachineSpec, n: int, sorted_only: bool = False,
               max_n: int | None = None) -> set[Word]:
     """Image of the first-stack map on the length-n domain; with
-    ``sorted_only`` intersect with the 231-avoiding words (the sorted set)."""
-    out: set[Word] = set()
-    for _, o in machine_outputs(spec, n, max_n):
-        if not sorted_only or avoids_231(o):
-            out.add(o)
-    return out
+    ``sorted_only`` intersect with the 231-avoiding words (the sorted set).
+
+    The full image scans the whole domain; the sorted set takes the
+    first-stack outputs of the sortable walk, which prunes on the drain.
+    """
+    if not sorted_only:
+        return {o for _, o in machine_outputs(spec, n, max_n)}
+    _check_guard(spec.domain, n, max_n)
+    return {out + stack[::-1]
+            for _, (stack, _, out) in _sortable_walk(spec, n)}
 
 
 # ---------------------------------------------------------------------------

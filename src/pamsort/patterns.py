@@ -388,7 +388,7 @@ def contains_classical(x: Sequence[int], body: Word,
 def _bivincular_ok(x: Sequence[int], p: Pattern, occ: Word) -> bool:
     n = len(x)
     pos = [0] + [i + 1 for i in occ] + [n + 1]  # 1-based with sentinels
-    vals = [0] + sorted(x[i] for i in occ) + [n + 1]
+    vals = [0] + sorted(x[i] for i in occ) + [max(x) + 1 if x else 1]
     for s in p.S:
         if pos[s + 1] != pos[s] + 1:
             return False

@@ -115,6 +115,22 @@ def test_count_sortable_methods_agree():
         [1, 3, 13, 73, 483]
 
 
+def test_brute_counts_match_closed_forms_past_acceptance_sizes():
+    # brute force only, no oracle: the drain-pruned walk against closed
+    # forms at lengths the acceptance suite does not reach
+    def brute(n, *bodies):
+        spec = MachineSpec(tuple(classical(b) for b in bodies))
+        return count_sortable(spec, n, Method.BRUTE)
+    for body in ((1, 3, 4, 2), (2, 3, 4, 1), (2, 4, 3, 1), (3, 1, 4, 2),
+                 (3, 2, 4, 1), (4, 2, 3, 1)):
+        assert brute(9, body) == catalan(9), body
+    for body in ((3, 2, 1, 4), (4, 2, 1, 3), (4, 3, 1, 2), (4, 3, 2, 1)):
+        assert brute(9, body) == odd_fibonacci(9), body
+    assert brute(10, (3, 2, 1)) == 2 ** 9
+    assert brute(10, (1, 2, 3)) == sort123_formula(10)
+    assert brute(10, (1, 2, 3), (3, 2, 1)) == pair123_321(10)
+
+
 def test_count_sortable_tree_method():
     tree_spec = MachineSpec((classical((1, 3, 2)), classical((3, 2, 1))))
     for n in range(1, 8):

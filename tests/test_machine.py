@@ -228,6 +228,14 @@ def test_machine_outputs_matches_direct_map():
                             if not naive_contains(out, (2, 3, 1))]
                 assert sortable_words(s, n) == sortable, (d, bodies, n)
                 assert sortable_count(s, n) == len(sortable), (d, bodies, n)
+                image = {out for _, out in direct}
+                sorted_image = {out for out in image
+                                if not naive_contains(out, (2, 3, 1))}
+                assert image_set(s, n, sorted_only=True) == sorted_image, \
+                    (d, bodies, n)
+                for w in sorted(set(words) | image):
+                    pre = [u for u, out in direct if out == w]
+                    assert fertility(w, s) == (len(pre), pre), (d, bodies, w)
 
 
 # Property tests: random words of length 8-16 in every domain against the
@@ -280,6 +288,22 @@ def test_sigma_stack_matches_naive_on_long_words(d, data):
     assert (final == tuple(sorted(w))) == sortable
 
 
+@pytest.mark.parametrize("d", list(Domain), ids=lambda d: d.value)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fertility_finds_preimages_of_long_words(d, data):
+    u = data.draw(domain_words(d, 7, 9))
+    bodies = tuple(data.draw(st.lists(SIGMA_BODIES, min_size=1, max_size=2)))
+    s = spec(*bodies, domain=d)
+    w = naive_sigma_stack(u, bodies)
+    count, pre = fertility(w, s, max_n=len(w))
+    assert u in pre
+    assert count == len(pre)
+    for v in pre:
+        assert is_member(v, d)
+        assert naive_sigma_stack(v, bodies) == w
+
+
 def test_walks_leave_no_reference_cycles():
     # a walk's pop memo must be freed when the walk ends, not at the next
     # full garbage collection
@@ -289,6 +313,8 @@ def test_walks_leave_no_reference_cycles():
     try:
         sortable_count(s, 5)
         list(machine_outputs(s, 5))
+        image_set(s, 5, sorted_only=True)
+        fertility((2, 1, 3, 1, 2), s)
         sigma_stack_output((2, 4, 1, 3, 3), s)
         assert gc.collect() == 0
     finally:

@@ -92,6 +92,39 @@ def test_bivincular_occurrence_rejection():
     assert (0, 1, 3) not in occurrences_of(x, p)
 
 
+def naive_bivincular(w, p):
+    """Every index subset of ``w`` order-isomorphic to the body whose
+    positions (sentinels -1 and len(w)) are adjacent at each S gap and whose
+    sorted values (sentinels 0 and max(w) + 1) are consecutive at each T
+    gap."""
+    n, top = len(w), max(w, default=0) + 1
+    found = []
+    for occ in itertools.combinations(range(n), len(p.body)):
+        if standardize([w[i] for i in occ]) != p.body:
+            continue
+        pos = (-1,) + occ + (n,)
+        vals = (0,) + tuple(sorted(w[i] for i in occ)) + (top,)
+        if all(pos[s + 1] == pos[s] + 1 for s in p.S) and \
+                all(vals[t + 1] == vals[t] + 1 for t in p.T):
+            found.append(occ)
+    return found
+
+
+def test_bivincular_top_constraint_on_cayley_words():
+    # T = {2} on the body 12: the "2" must be the word's largest value,
+    # also when the word is not a permutation
+    top = bivincular((1, 2), [], [2])
+    assert occurrences_of((1, 2, 2), top) == [(0, 1), (0, 2)] == \
+        naive_bivincular((1, 2, 2), top)
+    pats = [top, bivincular((1, 2), [], [0]), bivincular((2, 1), [0], [2]),
+            bivincular((1, 3, 2), [2], [2]), parse_pattern("@f"),
+            parse_pattern("@xi")]
+    for n in range(0, 6):
+        for w in iter_domain(Domain.CAYLEY, n):
+            for p in pats:
+                assert occurrences_of(w, p) == naive_bivincular(w, p), (w, p)
+
+
 def test_barred_equals_mesh_3241():
     b = parse_pattern("barred(35241;pos={2})")
     m = mesh((3, 2, 4, 1), [(1, 4)])
