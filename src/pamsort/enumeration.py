@@ -14,11 +14,12 @@ import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .machine import MachineSpec, image_set, iter_domain, sortable_count
 from .oracles import FallbackRequired, oracle_for
-from .paths_trees import count_dyck_bounded, rule_catalog, rule_level_counts
+from .paths_trees import (catalan, count_dyck_bounded, rule_catalog,
+                          rule_level_counts)
 from .patterns import classical
 from .words_core import Domain, Word
 
@@ -40,12 +41,6 @@ class SequenceId(enum.Enum):
     ODD_FIBONACCI = "ODD_FIBONACCI"
     FUBINI = "FUBINI"
     FISHBURN = "FISHBURN"
-
-
-def catalan(n: int) -> int:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return comb(2 * n, n) // (n + 1)
 
 
 def narayana(n: int, k: int) -> int:
@@ -87,23 +82,12 @@ def catalan_poly_g(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _bounded_dyck_f_series(k: int, upto: int) -> tuple[int, ...]:
-    """Series coefficients of F_k(t) = G_k/G_{k+1} = 1 + t F_{k-1} F_k
-    up to degree ``upto``; F_k counts Dyck paths of height at most k."""
-    if k == 0:
-        return (1,) + (0,) * upto
-    prev = _bounded_dyck_f_series(k - 1, upto)
-    f = [1] + [0] * upto
-    for n in range(1, upto + 1):
-        f[n] = sum(prev[n - 1 - j] * f[j] for j in range(n))
-    return tuple(f)
-
-
 def bounded_dyck_f(k: int, n: int) -> int:
+    """Coefficient of t^n in F_k(t) = G_k/G_{k+1}: the Dyck paths of
+    semilength n and height at most k."""
     if k < 0 or n < 0:
         raise ValueError("k, n must be >= 0")
-    return _bounded_dyck_f_series(k, n)[n]
+    return count_dyck_bounded(n, k)
 
 
 def xi_count(n: int) -> int:
@@ -146,6 +130,8 @@ def odd_fibonacci(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def fubini(n: int) -> int:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         return 1
     return sum(comb(n, k) * fubini(n - k) for k in range(1, n + 1))
@@ -153,6 +139,8 @@ def fubini(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def bell(n: int) -> int:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         return 1
     return sum(comb(n - 1, k) * bell(k) for k in range(n))
@@ -185,41 +173,43 @@ def fishburn(n: int) -> int:
     return total[n]
 
 
+def _catalan_poly_g_coefficient(n: int, k: int) -> int:
+    g = catalan_poly_g(k)
+    return g[n] if n < len(g) else 0
+
+
+# Each sequence's function, and whether it takes the parameter k: such a
+# function is called as f(n, k), the others as f(n).
+_SEQUENCES: dict[SequenceId, tuple[Callable[..., int], bool]] = {
+    SequenceId.CATALAN: (catalan, False),
+    SequenceId.NARAYANA: (narayana, True),
+    SequenceId.BALLOT: (ballot, True),
+    SequenceId.BINOM_TRANSFORM_CATALAN: (binom_transform_catalan, False),
+    SequenceId.CATALAN_POLY_G: (_catalan_poly_g_coefficient, True),
+    SequenceId.BOUNDED_DYCK_F: (lambda n, k: bounded_dyck_f(k, n), True),
+    SequenceId.XI_COUNT: (xi_count, False),
+    SequenceId.A002057: (a002057, False),
+    SequenceId.SORT123_FORMULA: (sort123_formula, False),
+    SequenceId.PAIR123_321: (pair123_321, False),
+    SequenceId.ODD_FIBONACCI: (odd_fibonacci, False),
+    SequenceId.FUBINI: (fubini, False),
+    SequenceId.FISHBURN: (fishburn, False),
+}
+
+
 def sequence_value(sid: SequenceId, n: int, k: int | None = None) -> int:
-    """Value of the catalogued sequence; NARAYANA, BALLOT,
+    """Value of the catalogued sequence at n >= 0; NARAYANA, BALLOT,
     CATALAN_POLY_G and BOUNDED_DYCK_F require the extra parameter k."""
-    needs_k = {SequenceId.NARAYANA, SequenceId.BALLOT,
-               SequenceId.CATALAN_POLY_G, SequenceId.BOUNDED_DYCK_F}
-    if sid in needs_k and k is None:
+    if sid not in _SEQUENCES:
+        raise ValueError(f"unknown sequence id {sid}")
+    fn, takes_k = _SEQUENCES[sid]
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
+    if not takes_k:
+        return fn(n)
+    if k is None:
         raise ValueError(f"{sid.value} requires parameter k")
-    if sid is SequenceId.CATALAN:
-        return catalan(n)
-    if sid is SequenceId.NARAYANA:
-        return narayana(n, k)
-    if sid is SequenceId.BALLOT:
-        return ballot(n, k)
-    if sid is SequenceId.BINOM_TRANSFORM_CATALAN:
-        return binom_transform_catalan(n)
-    if sid is SequenceId.CATALAN_POLY_G:
-        g = catalan_poly_g(k)
-        return g[n] if n < len(g) else 0
-    if sid is SequenceId.BOUNDED_DYCK_F:
-        return bounded_dyck_f(k, n)
-    if sid is SequenceId.XI_COUNT:
-        return xi_count(n)
-    if sid is SequenceId.A002057:
-        return a002057(n)
-    if sid is SequenceId.SORT123_FORMULA:
-        return sort123_formula(n)
-    if sid is SequenceId.PAIR123_321:
-        return pair123_321(n)
-    if sid is SequenceId.ODD_FIBONACCI:
-        return odd_fibonacci(n)
-    if sid is SequenceId.FUBINI:
-        return fubini(n)
-    if sid is SequenceId.FISHBURN:
-        return fishburn(n)
-    raise ValueError(f"unknown sequence id {sid}")
+    return fn(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -306,79 +296,63 @@ _DEFAULT_CAPS = {
     "appendix_len4": 8,
     "appendix_len5": 8,
     "pairs": 8,
-    "decr": 11,
+    "decr": 9,
     "sorted": 8,
     "cayley21": 5,
 }
 _ORACLE_CROSSCHECK_CAP = 7
 
 
-def _spec_for_row(table_id: str, key: str) -> MachineSpec | None:
-    if table_id.startswith("appendix_len"):
-        return MachineSpec((classical(tuple(int(c) for c in key)),))
-    if table_id == "pairs":
-        parts = key.split("-")
-        return MachineSpec(tuple(classical(tuple(int(c) for c in p))
-                                 for p in parts))
-    if table_id == "cayley21":
-        return MachineSpec((classical(tuple(int(c) for c in key)),),
-                           Domain.CAYLEY)
-    return None
-
-
-def _row_value(table_id: str, key: str, n: int) -> int:
+def _row_spec(table_id: str, key: str) -> MachineSpec:
+    """The machine of a golden row.  A key is one pattern body, or two
+    joined by ``-``; a ``decr`` key k stands for the body k(k-1)...1; the
+    ``cayley21`` rows run on Cayley words, all others on permutations."""
     if table_id == "decr":
-        return count_dyck_bounded(n, int(key) - 1)
-    if table_id == "sorted":
-        spec = MachineSpec((classical(tuple(int(c) for c in key)),))
-        return len(image_set(spec, n, sorted_only=True))
-    spec = _spec_for_row(table_id, key)
-    assert spec is not None
-    return count_sortable(spec, n, Method.BRUTE)
+        bodies = [tuple(range(int(key), 0, -1))]
+    else:
+        bodies = [tuple(int(c) for c in part) for part in key.split("-")]
+    domain = Domain.CAYLEY if table_id == "cayley21" else Domain.PERM
+    return MachineSpec(tuple(classical(b) for b in bodies), domain)
 
 
 def verify_golden(table_id: str, max_n: int | None = None,
                   rows: Sequence[str] | None = None) -> dict:
-    """Recompute a golden table up to its configured cap.  Rows are
-    recomputed by brute force; where a closed-form oracle or formula
-    exists it is cross-checked too.  Returns a JSON-able report with the
-    first divergence per row."""
+    """Recompute a golden table up to its configured cap.  Every row is
+    recomputed by brute force on its machine: the sortable count, or for
+    the ``sorted`` table the size of the sorted set.  Where the machine
+    has a closed-form oracle, sortable counts up to n = 7 are
+    cross-checked with it too.  Returns a JSON-able report with the first
+    divergence per row."""
     table = golden_table(table_id)
     cap = max_n if max_n is not None else _DEFAULT_CAPS.get(table_id, 8)
+    sorted_rows = table_id == "sorted"
     report_rows = []
     ok_all = True
     for key, (start, counts) in table.rows.items():
         if rows is not None and key not in rows:
             continue
+        spec = _row_spec(table_id, key)
         divergence = None
         checked = 0
         for i, expected in enumerate(counts):
             n = start + i
             if n > cap:
                 break
-            actual = _row_value(table_id, key, n)
+            actual = (len(image_set(spec, n, sorted_only=True)) if sorted_rows
+                      else count_sortable(spec, n, Method.BRUTE))
             checked = n
             if actual != expected:
                 divergence = {"n": n, "expected": expected, "actual": actual}
                 break
-            if table_id == "decr":
-                # independent formula: series coefficient of F_{k-1}
-                alt = bounded_dyck_f(int(key) - 1, n)
-                if alt != expected:
+            if not sorted_rows and n <= _ORACLE_CROSSCHECK_CAP:
+                try:
+                    alt = count_sortable(spec, n, Method.ORACLE)
+                except FallbackRequired:
+                    alt = None
+                if alt is not None and alt != expected:
                     divergence = {"n": n, "expected": expected,
-                                  "actual": alt, "method": "formula"}
+                                  "actual": alt, "method": "oracle"}
                     break
-            else:
-                spec = _spec_for_row(table_id, key)
-                if (spec is not None and n <= _ORACLE_CROSSCHECK_CAP):
-                    try:
-                        alt = count_sortable(spec, n, Method.ORACLE)
-                    except FallbackRequired:
-                        alt = None
-                    if alt is not None and alt != expected:
-                        divergence = {"n": n, "expected": expected,
-                                      "actual": alt, "method": "oracle"}
-                        break
         row_ok = divergence is None
         ok_all = ok_all and row_ok
         report_rows.append({"key": key, "checked_upto": checked,

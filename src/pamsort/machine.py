@@ -284,7 +284,7 @@ def _walk(d: Domain, n: int, state: _S,
 
     # rec gets itself as an argument: a closure that names itself is a
     # reference cycle, which would keep the walk's state (the memo of
-    # ``_walk_push`` in ``step``) alive until a full garbage collection.
+    # ``_walk_memo`` in ``step``) alive until a full garbage collection.
     def rec(rec: Callable[..., Iterator[tuple[Word, _S]]], state: _S,
             shape: tuple[int, int]) -> Iterator[tuple[Word, _S]]:
         if len(prefix) == n:
@@ -342,12 +342,15 @@ def _drain_push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
     return stack, popped, min(stack), split
 
 
-def _walk_push(spec: MachineSpec) -> Callable[
-        [tuple[int, ...], int],
-        tuple[tuple[int, ...], tuple[int, ...], int, bool]]:
-    """``_drain_push`` for one walk, memoized: sibling subtrees repeat the
-    same (stack, letter) pairs.  The memo dies with the walk."""
-    return lru_cache(maxsize=None)(partial(_drain_push, bodies=spec.bodies))
+_P = TypeVar("_P")
+
+
+def _walk_memo(push: Callable[..., _P], spec: MachineSpec
+               ) -> Callable[[tuple[int, ...], int], _P]:
+    """``push`` (``_push`` or ``_drain_push``) for one walk, memoized:
+    sibling subtrees repeat the same (stack, letter) pairs.  The memo dies
+    with the walk."""
+    return lru_cache(maxsize=None)(partial(push, bodies=spec.bodies))
 
 
 _SortState = tuple[tuple[int, ...], _Detector, Word]
@@ -367,7 +370,7 @@ def _sortable_walk(spec: MachineSpec, n: int
     (c) the 2: in R a letter above ``x`` sits above a letter below ``x``.
     Every leaf is then sortable: its drain is its first-stack output.
     """
-    push = _walk_push(spec)
+    push = _walk_memo(_drain_push, spec)
 
     def step(state: _SortState, v: int) -> _SortState | None:
         stack, detector, out = state
@@ -408,11 +411,11 @@ def machine_outputs(spec: MachineSpec, n: int,
     """Yield (input, first-stack output) over the whole domain at length n,
     sharing machine state across common prefixes."""
     _check_guard(spec.domain, n, max_n)
-    push = _walk_push(spec)
+    push = _walk_memo(_push, spec)
 
     def step(state: tuple[Word, Word], v: int) -> tuple[Word, Word]:
         stack, out = state
-        stack, popped, _, _ = push(stack, v)
+        stack, popped = push(stack, v)
         return stack, out + popped
 
     return ((w, out + stack[::-1])
@@ -432,12 +435,12 @@ def fertility(w: Sequence[int], spec: MachineSpec,
     """
     w = tuple(w)
     _check_guard(spec.domain, len(w), max_n)
-    push = _walk_push(spec)
+    push = _walk_memo(_push, spec)
 
     def step(state: tuple[tuple[int, ...], int], v: int
              ) -> tuple[tuple[int, ...], int] | None:
         stack, k = state
-        stack, popped, _, _ = push(stack, v)
+        stack, popped = push(stack, v)
         end = k + len(popped)
         if w[k:end] != popped:
             return None

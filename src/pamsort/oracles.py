@@ -17,14 +17,13 @@ True
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, Sequence
 
-from .machine import MachineSpec, image_set, is_sortable, iter_domain
-from .patterns import (NAMED, Pattern, PatternKind, barred, classical,
-                       contains, contains_classical, format_pattern)
+from .machine import MachineSpec, image_set, is_sortable
+from .paths_trees import catalan
+from .patterns import (NAMED, Pattern, PatternKind, classical, contains,
+                       contains_classical, format_pattern, mesh)
 from .words_core import (Domain, SumMode, Which, Word, combine, decreasing,
                          format_word, is_member, ltr_decompose, reverse,
                          standardize)
@@ -36,10 +35,6 @@ class FallbackRequired(Exception):
 
 class UnsupportedError(ValueError):
     """Unsupported domain/pattern combination for classification."""
-
-
-def _catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +165,10 @@ def _sortable_123_312(w: Word) -> bool:
 # ---------------------------------------------------------------------------
 # Known sortable sets and oracle dispatch
 
-_BARRED_21 = barred((3, 5, 2, 4, 1), bars=(2,))
+# Sort(21) = Av(2341, barred 35241 with the 5 barred): a 3241 with no
+# letter above its 4 between its 3 and its 2, the mesh pattern that shades
+# the barred letter's box.
+_MESH_3241 = mesh((3, 2, 4, 1), boxes=((1, 4),))
 
 
 def _sortable_basis(sigma: Word, domain: Domain) -> tuple[Pattern, ...] | None:
@@ -181,7 +179,7 @@ def _sortable_basis(sigma: Word, domain: Domain) -> tuple[Pattern, ...] | None:
             return (classical((2, 1, 3)),)
         if sigma == (2, 1):
             return (classical((2, 3, 4, 1)),
-                    _BARRED_21 if domain is Domain.PERM else NAMED["zeta"])
+                    _MESH_3241 if domain is Domain.PERM else NAMED["zeta"])
         if domain is Domain.PERM and sigma == (1, 3, 2):
             return (classical((2, 3, 1, 4)), NAMED["mu"])
         if len(sigma) >= 3 and _hat_ge_231(sigma):
@@ -276,21 +274,22 @@ def verify_witness(c: Classification) -> bool:
             and not is_sortable(p.body, spec))
 
 
-_PERM_WITNESS_3 = {
-    (1, 2, 3): ((4, 1, 3, 2), (1, 3, 2)),
-    (1, 3, 2): ((2, 4, 1, 3), (1, 3, 2)),
-    (2, 1, 3): ((4, 1, 3, 2), (1, 3, 2)),
-    (2, 3, 1): ((3, 6, 1, 4, 2, 5), (1, 3, 2, 4)),
-    (3, 1, 2): ((3, 1, 4, 2), (1, 3, 2)),
+# Witnesses for the sigma that the constructions below do not cover.
+_WITNESSES: dict[tuple[Domain, Word], tuple[Word, Word]] = {
+    (Domain.PERM, (2, 1)): ((3, 5, 2, 4, 1), (3, 2, 4, 1)),
+    (Domain.PERM, (1, 2, 3)): ((4, 1, 3, 2), (1, 3, 2)),
+    (Domain.PERM, (1, 3, 2)): ((2, 4, 1, 3), (1, 3, 2)),
+    (Domain.PERM, (2, 1, 3)): ((4, 1, 3, 2), (1, 3, 2)),
+    (Domain.PERM, (2, 3, 1)): ((3, 6, 1, 4, 2, 5), (1, 3, 2, 4)),
+    (Domain.PERM, (3, 1, 2)): ((3, 1, 4, 2), (1, 3, 2)),
+    (Domain.CAYLEY, (2, 1)): ((3, 4, 2, 4, 1), (3, 2, 4, 1)),
+    (Domain.CAYLEY, (2, 3, 1)): ((1, 2, 4, 2, 3, 1), (2, 4, 2, 3, 1)),
 }
 
 
 def _perm_nonclass_witness(sigma: Word) -> tuple[Word, Word]:
     """Sortable word and a non-sortable pattern it contains, for a
-    permutation sigma whose hat avoids 231: from the table at length 3,
-    else with the pattern 132."""
-    if sigma in _PERM_WITNESS_3:
-        return _PERM_WITNESS_3[sigma]
+    permutation sigma whose hat avoids 231, with the pattern 132."""
     if sigma[0] < sigma[1]:
         z = sigma[0]
         sp = tuple(v if v < sigma[0] else v + 1 for v in sigma)
@@ -303,8 +302,6 @@ def _perm_nonclass_witness(sigma: Word) -> tuple[Word, Word]:
 
 
 def _cayley_nonclass_witness(sigma: Word) -> tuple[Word, Word]:
-    if sigma == (2, 1):
-        return (3, 4, 2, 4, 1), (3, 2, 4, 1)
     if sigma[0] < min(sigma[1:], default=sigma[0] + 1):
         sp = tuple(v + 1 for v in sigma)
         beta = tuple(reversed(sp[2:])) + (1, sp[1], sp[0])
@@ -325,9 +322,7 @@ def _asc_nonclass_witness(sigma: Word) -> tuple[Word, Word]:
     return alpha, (1, 2, 3, 2)
 
 
-def _modasc_nonclass_witness(sigma: Word) -> tuple[Word, Word] | None:
-    if len(sigma) < 4:
-        return None
+def _modasc_nonclass_witness(sigma: Word) -> tuple[Word, Word]:
     m = max(sigma)
     if sigma[1] == 1:
         alpha = tuple(reversed(sigma[1:])) + (m + 2, sigma[0], m + 1)
@@ -338,35 +333,7 @@ def _modasc_nonclass_witness(sigma: Word) -> tuple[Word, Word] | None:
     return alpha, (1, 3, 1, 2)
 
 
-def _search_witness(sigma: Word, domain: Domain,
-                    max_len: int = 7) -> tuple[Word, Pattern] | None:
-    """Brute-force search for a non-class witness: a sortable word that
-    contains a non-sortable in-domain pattern."""
-    spec = MachineSpec((classical(sigma),), domain)
-    bad: dict[Word, bool] = {}  # standardized pattern -> is sortable
-
-    def pattern_ok(p: Word) -> bool:
-        if p not in bad:
-            bad[p] = is_sortable(p, spec)
-        return bad[p]
-
-    for n in range(len(sigma) + 1, max_len + 1):
-        for w in iter_domain(domain, n):
-            if not is_sortable(w, spec):
-                continue
-            seen: set[Word] = set()
-            for r in range(2, n):
-                for idx in itertools.combinations(range(n), r):
-                    p = standardize(tuple(w[i] for i in idx))
-                    if p in seen:
-                        continue
-                    seen.add(p)
-                    if is_member(p, domain) and not pattern_ok(p):
-                        return w, classical(p)
-    return None
-
-
-_NONCLASS_WITNESS: dict[Domain, Callable[[Word], tuple[Word, Word] | None]] = {
+_NONCLASS_WITNESS: dict[Domain, Callable[[Word], tuple[Word, Word]]] = {
     Domain.PERM: _perm_nonclass_witness,
     Domain.CAYLEY: _cayley_nonclass_witness,
     Domain.ASC: _asc_nonclass_witness,
@@ -378,8 +345,10 @@ def classify(sigma: Sequence[int], domain: Domain = Domain.PERM) -> Classificati
     """Is Sort(sigma) a pattern class in the given domain?  Returns the
     basis for classes and a mechanical witness for non-classes.
 
-    The sortable set is a class exactly when its known basis holds no mesh
-    or Cayley-mesh pattern.
+    The sortable set is a class exactly when its known basis consists of
+    classical patterns.  Otherwise the witness comes from a table or a
+    closed-form construction and is checked with :func:`verify_witness`;
+    a case without a verified witness raises :class:`UnsupportedError`.
     """
     s = tuple(sigma)
     if len(s) < 2:
@@ -391,21 +360,15 @@ def classify(sigma: Sequence[int], domain: Domain = Domain.PERM) -> Classificati
             f"classification is not defined on {domain.value}")
 
     basis = _sortable_basis(s, domain)
-    if basis is not None and not any(
-            p.kind in (PatternKind.MESH, PatternKind.CAYLEYMESH) for p in basis):
+    if basis is not None and all(p.kind is PatternKind.CLASSICAL
+                                 for p in basis):
         return Classification(s, domain, True, basis)
-    built = _NONCLASS_WITNESS[domain](s)
-    if built is not None:
-        c = Classification(s, domain, False,
-                           witness=(built[0], classical(built[1])))
-        if verify_witness(c):
-            return c
-    found = _search_witness(s, domain)
-    if found is None:
+    w, p = _WITNESSES.get((domain, s)) or _NONCLASS_WITNESS[domain](s)
+    c = Classification(s, domain, False, witness=(w, classical(p)))
+    if not verify_witness(c):
         raise UnsupportedError(
-            f"no verifiable non-class witness found for {s} on "
-            f"{domain.value}")
-    return Classification(s, domain, False, witness=found)
+            f"no verifiable non-class witness for {s} on {domain.value}")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +432,7 @@ def fertility_123(gamma: Sequence[int]) -> int:
         for h in range(n - k + 1):
             t = n - k - h
             if _family_member_123(h, k, t) == g:
-                return _catalan(k - 1)
+                return catalan(k - 1)
     return 0
 
 

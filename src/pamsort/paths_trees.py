@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .patterns import format_steps, parse_steps
@@ -218,6 +219,13 @@ def iter_schroder(n: int) -> Iterator[LatticePath]:
 
     for steps in rec([], 0, 0):
         yield LatticePath(PathKind.SCHRODER, steps)
+
+
+def catalan(n: int) -> int:
+    """Dyck paths of semilength n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return comb(2 * n, n) // (n + 1)
 
 
 @lru_cache(maxsize=None)

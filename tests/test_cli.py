@@ -118,6 +118,10 @@ def test_sequence_command():
     assert r.exit_code == 0 and r.stdout.strip() == "42"
     r = run("sequence", "NARAYANA", "--n", "4", "--k", "2")
     assert r.stdout.strip() == "6"
+    for args in (("CATALAN_POLY_G", "--n", "-1", "--k", "3"),
+                 ("FUBINI", "--n", "-1")):
+        r = run("sequence", *args)
+        assert r.exit_code == 1 and r.stdout == "", args
 
 
 def test_fertility_command():

@@ -93,6 +93,13 @@ def test_sequence_value_dispatch():
         sequence_value(SequenceId.NARAYANA, 4)       # missing k
     with pytest.raises(ValueError):
         sequence_value(SequenceId.NARAYANA, 4, 9)    # k out of range
+    for sid in SequenceId:
+        with pytest.raises(ValueError):
+            sequence_value(sid, -1, 3)
+    with pytest.raises(ValueError):
+        fubini(-1)
+    with pytest.raises(ValueError):
+        bell(-1)
 
 
 def test_enumerate_domain_counts():
@@ -170,6 +177,18 @@ def test_verify_golden_report_is_jsonable():
     report = verify_golden("appendix_len3", max_n=5)
     json.dumps(report)
     assert all(r["pass"] for r in report["rows"])
+
+
+@pytest.mark.parametrize("table_id", golden_ids())
+def test_verify_golden_recomputes_every_table(monkeypatch, table_id):
+    # a brute-force engine that miscounts by one must fail every table
+    import pamsort.enumeration as E
+    count, image = E.sortable_count, E.image_set
+    monkeypatch.setattr(E, "sortable_count",
+                        lambda *a, **kw: count(*a, **kw) + 1)
+    monkeypatch.setattr(E, "image_set",
+                        lambda *a, **kw: image(*a, **kw) | {()})
+    assert not verify_golden(table_id, max_n=4)["pass"]
 
 
 def test_rgf12332_max_distribution_identity():

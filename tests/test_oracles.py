@@ -1,5 +1,7 @@
 """Unit tests for characterization oracles and the classifier."""
 
+import itertools
+
 import pytest
 
 from pamsort.machine import (MachineSpec, image_set, is_sortable, iter_domain,
@@ -10,7 +12,7 @@ from pamsort.oracles import (FallbackRequired, classify, fertility_123, hat,
                              sortable_123, sorted_set, sorted_set_123,
                              verify_witness)
 from pamsort.patterns import classical, format_pattern, parse_pattern
-from pamsort.words_core import Domain
+from pamsort.words_core import Domain, is_member, standardize
 
 
 def spec(body, domain=Domain.PERM):
@@ -52,10 +54,10 @@ def test_oracle_dispatch_and_fallback():
 def test_classify_class_cases_perm():
     c = classify((1, 2))
     assert c.is_class and [format_pattern(p) for p in c.basis] == ["213"]
+    # Sort(21) = Av(2341, barred(35241;pos={2})) is not closed under
+    # patterns: 35241 is sortable, its pattern 3241 is not
     c = classify((2, 1))
-    assert c.is_class
-    assert sorted(format_pattern(p) for p in c.basis) == \
-        ["2341", "barred(35241;pos={2})"]
+    assert not c.is_class and verify_witness(c)
     c = classify((3, 2, 1))
     assert c.is_class
     assert sorted(format_pattern(p) for p in c.basis) == ["123", "132"]
@@ -77,6 +79,28 @@ def test_classify_basis_matches_brute_sortability():
                 for w in words:
                     assert is_sortable(w, s) == avoids(w, *c.basis), \
                         (body, dom, w)
+
+
+def test_every_class_verdict_is_closed_under_patterns():
+    # each sortable word of a class verdict keeps every in-domain pattern
+    # it contains sortable, up to length 6 (Cayley words: length 5)
+    for dom, top in ((Domain.PERM, 6), (Domain.CAYLEY, 5), (Domain.ASC, 6),
+                     (Domain.MODASC, 6)):
+        for k in (2, 3, 4):
+            for body in iter_domain(dom, k):
+                if not classify(body, dom).is_class:
+                    continue
+                s = spec(body, dom)
+                seen = set()
+                for n in range(2, top + 1):
+                    for w in sortable_words(s, n):
+                        for r in range(1, n):
+                            for idx in itertools.combinations(range(n), r):
+                                p = standardize(tuple(w[i] for i in idx))
+                                if p in seen or not is_member(p, dom):
+                                    continue
+                                seen.add(p)
+                                assert is_sortable(p, s), (dom, body, w, p)
 
 
 def test_classify_nonclass_cases_perm():
