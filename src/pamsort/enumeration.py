@@ -199,13 +199,16 @@ _SEQUENCES: dict[SequenceId, tuple[Callable[..., int], bool]] = {
 
 def sequence_value(sid: SequenceId, n: int, k: int | None = None) -> int:
     """Value of the catalogued sequence at n >= 0; NARAYANA, BALLOT,
-    CATALAN_POLY_G and BOUNDED_DYCK_F require the extra parameter k."""
+    CATALAN_POLY_G and BOUNDED_DYCK_F require the extra parameter k, and
+    the other sequences reject it."""
     if sid not in _SEQUENCES:
         raise ValueError(f"unknown sequence id {sid}")
     fn, takes_k = _SEQUENCES[sid]
     if n < 0:
         raise ValueError(f"n must be >= 0, got n={n}")
     if not takes_k:
+        if k is not None:
+            raise ValueError(f"{sid.value} takes no parameter k")
         return fn(n)
     if k is None:
         raise ValueError(f"{sid.value} requires parameter k")

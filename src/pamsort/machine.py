@@ -11,8 +11,10 @@ increasing, equivalently when the first stack's output avoids 231.
 The first stack avoids Sigma before every push: it starts empty, popping
 from the top keeps a stack Sigma-avoiding, and a letter is pushed only
 once no occurrence would start at it.  So any occurrence that a push
-could create starts at the incoming letter, and the pop check searches
-only for those.
+could create starts at the incoming letter, and such an anchored
+occurrence survives k pops iff its second letter is deeper than k.  One
+scan per push therefore finds how many letters to pop: down to the
+deepest second letter of an anchored occurrence of some body of Sigma.
 
 >>> from .patterns import classical
 >>> spec = MachineSpec((classical((2, 3, 1)),))
@@ -32,7 +34,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .paths_trees import LatticePath, PathKind, matching
-from .patterns import Pattern, PatternKind, contains_classical, format_pattern
+from .patterns import Pattern, PatternKind, format_pattern
 from .words_core import Domain, Word
 
 DEFAULT_GUARDS = {
@@ -94,34 +96,117 @@ class MachineTrace:
         })
 
 
-def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> bool:
-    """Would the stack, with ``x`` on top and read top to bottom, contain a
-    forbidden pattern?
+_NO_BOUND = float("inf")  # upper bound of a letter with no letter above it
+
+
+@lru_cache(maxsize=None)
+def _pop_plan(body: Word) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """How ``_must_pop`` matches an occurrence of ``body`` whose first
+    letter is the incoming one: the order of ``body[1]`` against
+    ``body[0]`` (-1, 0 or 1), and for each later letter ``body[t]`` the
+    indices into the bound letters (see ``_completes``) of the letter it
+    equals, or else of the letters just below and just above it.
+
+    An index past the body's end names a bound below every letter (0) or
+    above every letter.
+    """
+    k = len(body)
+    steps = []
+    for t in range(2, k):
+        c = body[t]
+        below = [s for s in range(t) if body[s] < c]
+        above = [s for s in range(t) if body[s] > c]
+        steps.append((
+            body.index(c) if c in body[:t] else -1,
+            max(below, key=body.__getitem__, default=k),
+            min(above, key=body.__getitem__, default=k + 1)))
+    return (body[1] > body[0]) - (body[1] < body[0]), tuple(steps)
+
+
+def _completes(stack: tuple[int, ...], end: int,
+               steps: tuple[tuple[int, int, int], ...], i: int,
+               bound: list[int | float]) -> bool:
+    """Can the letters of ``stack[:end]``, read top-down, play the body's
+    letters from ``i + 2`` on?  ``bound[t]`` holds the letter that plays
+    ``body[t]`` for the earlier t; the last two entries are the bounds
+    below and above every letter."""
+    if i == len(steps):
+        return True
+    eq, lo, hi = steps[i]
+    if eq >= 0:
+        a = bound[eq] - 1
+        b = a + 2
+    else:
+        a = bound[lo]
+        b = bound[hi]
+    for q in range(end - 1, len(steps) - i - 2, -1):
+        y = stack[q]
+        if a < y < b:
+            bound[i + 2] = y
+            if _completes(stack, q, steps, i + 1, bound):
+                return True
+    return False
+
+
+def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
+    """How many letters to pop from the top before ``x`` is pushed (0:
+    push at once).
 
     The stack avoids Sigma before each push (see the module docstring), so
-    only occurrences in which ``x`` plays the first letter are searched.
+    only occurrences in which ``x`` plays the first letter matter, and one
+    of them survives k pops exactly when its second letter lies deeper
+    than k.  So the stack, stored bottom first, is cut at the deepest
+    letter that plays the second letter of such an occurrence: the first
+    letter from the bottom that stands to ``x`` as ``body[1]`` to
+    ``body[0]`` and has letters below it that complete the body.
     """
-    seq = (x,) + stack[::-1]
-    for b in bodies:
-        if contains_classical(seq, b, anchored=True):
-            return True
-    return False
+    cut = len(stack)
+    for body in bodies:
+        rel, steps = _pop_plan(body)
+        if rel < 0:
+            a, b = 0, x
+        elif rel > 0:
+            a, b = x, _NO_BOUND
+        else:
+            a, b = x - 1, x + 1
+        if not steps:  # a length-2 body: the order alone decides
+            for p in range(cut):
+                if a < stack[p] < b:
+                    cut = p
+                    break
+            continue
+        bound: list[int | float] = [x] * len(body) + [0, _NO_BOUND]
+        for p in range(len(steps), cut):
+            y = stack[p]
+            if a < y < b:
+                bound[1] = y
+                if _completes(stack, p, steps, 0, bound):
+                    cut = p
+                    break
+    return len(stack) - cut
 
 
 def _push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
           ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Push ``x`` right-greedily: pop the top while ``_must_pop`` holds, then
+    """Push ``x`` right-greedily: pop the top ``_must_pop`` letters, then
     push.  Returns (new stack, popped letters in pop order)."""
-    popped: list[int] = []
-    while stack and _must_pop(stack, x, bodies):
-        popped.append(stack[-1])
-        stack = stack[:-1]
-    return stack + (x,), tuple(popped)
+    cut = len(stack) - _must_pop(stack, x, bodies)
+    return stack[:cut] + (x,), stack[cut:][::-1]
+
+
+def _check_letters(w: Sequence[int]) -> None:
+    """A word enters the machine here: the pop kernel takes its letters to
+    be positive integers and checks nothing itself."""
+    if w and min(w) < 1:
+        raise ValueError(f"letters must be positive integers: {tuple(w)}")
 
 
 def sigma_stack_output(w: Sequence[int], spec: MachineSpec,
                        trace: MachineTrace | None = None) -> Word:
-    """Output of the Sigma-avoiding stack on ``w`` (the map s^Sigma)."""
+    """Output of the Sigma-avoiding stack on ``w`` (the map s^Sigma).
+    Letters are positive integers; a word with a letter below 1 raises
+    ``ValueError``."""
+    _check_letters(w)
     bodies = spec.bodies
     stack: tuple[int, ...] = ()
     out: list[int] = []
@@ -434,6 +519,7 @@ def fertility(w: Sequence[int], spec: MachineSpec,
     leave in that order, after the letters already emitted.
     """
     w = tuple(w)
+    _check_letters(w)
     _check_guard(spec.domain, len(w), max_n)
     push = _walk_memo(_push, spec)
 

@@ -299,13 +299,10 @@ _NO_BOUND = float("inf")  # upper bound of a letter class with none above it
 
 
 def _search(x: Sequence[int], body: Word,
-            accept: Callable[[Word], object] | None = None,
-            anchored: bool = False) -> bool:
+            accept: Callable[[Word], object] | None = None) -> bool:
     """Walk the classical occurrences of ``body`` in ``x``, as 0-based index
     tuples in lexicographic order, and stop at the first one that ``accept``
     takes (any one when ``accept`` is None).  Returns whether it stopped.
-    With ``anchored``, only occurrences in which ``x[0]`` plays ``body[0]``
-    are walked.
 
     The one backtracking search behind every pattern query: each fresh
     letter class is bounded once per level by its nearest bound classes.
@@ -316,7 +313,7 @@ def _search(x: Sequence[int], body: Word,
     k = len(body)
     n = len(x)
     if k == 0:
-        return not anchored and (accept is None or bool(accept(())))
+        return accept is None or bool(accept(()))
     if k > n:
         return False
     m = max(body)
@@ -359,9 +356,6 @@ def _search(x: Sequence[int], body: Word,
         return False
 
     first = body[0]
-    if anchored:  # idx[0] is already 0
-        assign[first] = x[0]
-        return rec(rec, 1, 1)
     for p in range(n - k + 1):
         assign[first] = x[p]
         idx[0] = p
@@ -370,19 +364,16 @@ def _search(x: Sequence[int], body: Word,
     return False
 
 
-def contains_classical(x: Sequence[int], body: Word,
-                       anchored: bool = False) -> bool:
-    """Does ``x`` contain the classical pattern ``body``?  With
-    ``anchored``, only occurrences in which ``x[0]`` plays ``body[0]``
-    count (the sigma-stack's pop check).  Letters are positive integers;
-    a word with a letter below 1 raises ``ValueError``.
+def contains_classical(x: Sequence[int], body: Word) -> bool:
+    """Does ``x`` contain the classical pattern ``body``?  Letters are
+    positive integers; a word with a letter below 1 raises ``ValueError``.
 
     >>> contains_classical((4, 2, 3, 1), (2, 3, 1))
     True
-    >>> contains_classical((4, 2, 3, 1), (2, 3, 1), anchored=True)
+    >>> contains_classical((4, 2, 3, 1), (1, 2, 3))
     False
     """
-    return _search(x, body, anchored=anchored)
+    return _search(x, body)
 
 
 def _bivincular_ok(x: Sequence[int], p: Pattern, occ: Word) -> bool:

@@ -17,7 +17,7 @@ from pamsort.bijections import (av213_to_dyck, av321_to_rgfnr12321,
                                 rgfnr12321_to_av321, schroder_to_sort123,
                                 sort123_to_schroder, StoreMode)
 from pamsort.enumeration import (Method, ballot, binom_transform_catalan,
-                                 bounded_dyck_f, catalan, count_sortable,
+                                 catalan, catalan_poly_g, count_sortable,
                                  fishburn, golden_table, narayana,
                                  odd_fibonacci, pair123_321, sort123_formula,
                                  verify_golden, xi_count)
@@ -104,16 +104,29 @@ def test_criterion_04_pairs_table():
     _ok(4, "pair-machine counts match, incl. (123,321) = 7*2^(n-4)")
 
 
+def _series_quotient(a, b, terms):
+    """The first ``terms`` coefficients of the power series a(t)/b(t),
+    for polynomials with b(0) = 1."""
+    q = []
+    for n in range(terms):
+        c = a[n] if n < len(a) else 0
+        q.append(c - sum(b[i] * q[n - i]
+                         for i in range(1, min(n, len(b) - 1) + 1)))
+    return q
+
+
 def test_criterion_05_decr_table():
     report = verify_golden("decr", max_n=9)
     assert report["pass"], report
     for key, (start, counts) in golden_table("decr").rows.items():
         k = int(key)
         assert 3 <= k <= 7
+        # F_{k-1} = G_{k-1} / G_k, from the polynomials alone
+        f = _series_quotient(catalan_poly_g(k - 1), catalan_poly_g(k), 10)
         for n in range(1, 10):
             c = counts[n - start]
             assert count_dyck_bounded(n, k - 1) == c, (k, n)
-            assert bounded_dyck_f(k - 1, n) == c, (k, n)
+            assert f[n] == c, (k, n)
     _ok(5, "decreasing-pattern rows = bounded Dyck counts = F_k coefficients")
 
 

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -122,6 +124,10 @@ def test_sequence_command():
                  ("FUBINI", "--n", "-1")):
         r = run("sequence", *args)
         assert r.exit_code == 1 and r.stdout == "", args
+    # a one-parameter sequence rejects a stray k
+    r = run("sequence", "CATALAN", "--n", "5", "--k", "3")
+    assert r.exit_code == 1 and r.stdout == ""
+    assert "CATALAN takes no parameter k" in r.stderr
 
 
 def test_fertility_command():
@@ -157,3 +163,27 @@ def test_verify_command_small():
     r = run("verify", "cayley21", "--max-n", "5", "--json")
     data = json.loads(r.stdout)
     assert data["pass"] is True
+
+
+def test_readme_quick_tour():
+    # every Quick-tour line of README.md that states its result prints it:
+    # "# -> value", or the sorted set as a list of words
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    tour = readme.read_text().split("## Quick tour (CLI)")[1]
+    tour = tour.split("```sh\n")[1].split("```")[0]
+    checked = 0
+    for line in tour.splitlines():
+        command, _, comment = line.partition("#")
+        args = shlex.split(command)[1:]
+        comment = comment.strip()
+        if comment.startswith("->"):
+            want = comment[2:].strip()
+        elif args[0] == "sorted-set":
+            want = comment
+        else:
+            continue
+        r = run(*args)
+        assert r.exit_code == 0, line
+        assert " ".join(r.stdout.split()) == want, line
+        checked += 1
+    assert checked == 5

@@ -41,6 +41,17 @@ def test_narayana():
     assert sum(narayana(6, k) for k in range(1, 7)) == catalan(6)
 
 
+def series_quotient(a, b, terms):
+    """The first ``terms`` coefficients of the power series a(t)/b(t),
+    for polynomials with b(0) = 1."""
+    q = []
+    for n in range(terms):
+        c = a[n] if n < len(a) else 0
+        q.append(c - sum(b[i] * q[n - i]
+                         for i in range(1, min(n, len(b) - 1) + 1)))
+    return q
+
+
 def test_catalan_poly_and_bounded_dyck():
     # G_{k+1}(t) = G_k(t) - t G_{k-1}(t)
     for k in range(1, 7):
@@ -52,10 +63,11 @@ def test_catalan_poly_and_bounded_dyck():
     # the decr-table row for k=4 is the height <= 3 series F_3
     assert [bounded_dyck_f(3, n) for n in range(1, 10)] == \
         [1, 2, 5, 13, 34, 89, 233, 610, 1597]
-    from pamsort.paths_trees import count_dyck_bounded
+    # F_k = G_k / G_{k+1} as a power series, from the polynomials alone
     for k in range(2, 7):
+        f_k = series_quotient(catalan_poly_g(k), catalan_poly_g(k + 1), 9)
         for n in range(0, 9):
-            assert bounded_dyck_f(k, n) == count_dyck_bounded(n, k)
+            assert bounded_dyck_f(k, n) == f_k[n], (k, n)
 
 
 def test_xi_count_formula_values():
@@ -93,6 +105,11 @@ def test_sequence_value_dispatch():
         sequence_value(SequenceId.NARAYANA, 4)       # missing k
     with pytest.raises(ValueError):
         sequence_value(SequenceId.NARAYANA, 4, 9)    # k out of range
+    with_k = {SequenceId.NARAYANA, SequenceId.BALLOT,
+              SequenceId.CATALAN_POLY_G, SequenceId.BOUNDED_DYCK_F}
+    for sid in set(SequenceId) - with_k:
+        with pytest.raises(ValueError, match="takes no parameter k"):
+            sequence_value(sid, 5, 3)                # stray k
     for sid in SequenceId:
         with pytest.raises(ValueError):
             sequence_value(sid, -1, 3)

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pamsort.enumeration import bell, fishburn, fubini
-from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, encode_labeled_path,
-                             fertility, image_set, is_sortable, iter_domain,
-                             machine_outputs, machine_run, sigma_stack_output,
-                             sortable_count, sortable_words, stack21_output)
+from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, _must_pop,
+                             encode_labeled_path, fertility, image_set,
+                             is_sortable, iter_domain, machine_outputs,
+                             machine_run, sigma_stack_output, sortable_count,
+                             sortable_words, stack21_output)
 from pamsort.patterns import classical, contains
 from pamsort.words_core import (Domain, identity, is_member, modify, reverse,
                                 standardize)
@@ -190,15 +191,21 @@ def naive_contains(seq, body):
                for sub in itertools.combinations(seq, len(body)))
 
 
-def naive_sigma_stack(w, bodies):
+def naive_stack_run(w, bodies):
     """Right-greedy Sigma-stack: pop while the stack read top to bottom,
-    with the incoming letter on top, would contain a forbidden pattern."""
+    with the incoming letter on top, would contain a forbidden pattern.
+    Returns (letters popped, stack bottom first) after reading ``w``."""
     stack, out = [], []
     for x in w:
         while stack and any(naive_contains([x] + stack[::-1], b)
                             for b in bodies):
             out.append(stack.pop())
         stack.append(x)
+    return out, stack
+
+
+def naive_sigma_stack(w, bodies):
+    out, stack = naive_stack_run(w, bodies)
     return tuple(out + stack[::-1])
 
 
@@ -304,9 +311,49 @@ def test_fertility_finds_preimages_of_long_words(d, data):
         assert naive_sigma_stack(v, bodies) == w
 
 
+def naive_pop_count(stack, x, bodies):
+    """Pops before ``x`` goes on: pop the top while the stack read top to
+    bottom holds letters that complete, after ``x``, an occurrence of a
+    body."""
+    stack = list(stack)
+    pops = 0
+    while stack and any(naive_contains((x,) + sub, b) for b in bodies
+                        for sub in itertools.combinations(stack[::-1],
+                                                          len(b) - 1)):
+        stack.pop()
+        pops += 1
+    return pops
+
+
+@pytest.mark.parametrize("d", list(Domain), ids=lambda d: d.value)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pop_depth_matches_naive(d, data):
+    # the pop kernel on every stack that a run of the naive machine
+    # reaches, against popping one letter at a time
+    w = data.draw(domain_words(d, 6, 12))
+    bodies = tuple(data.draw(st.lists(SIGMA_BODIES, min_size=1, max_size=2)))
+    for i, x in enumerate(w):
+        _, stack = naive_stack_run(w[:i], bodies)
+        assert _must_pop(tuple(stack), x, bodies) == \
+            naive_pop_count(stack, x, bodies), (stack, x)
+
+
+def test_machine_entry_rejects_letters_below_one():
+    s = spec((2, 3, 1))
+    for call in (lambda: sigma_stack_output((0,), s),
+                 lambda: is_sortable((0,), s),
+                 lambda: sigma_stack_output((2, 0), s),
+                 lambda: machine_run((1, 0), s, with_trace=True),
+                 lambda: fertility((2, 0, 1), s)):
+        with pytest.raises(ValueError, match="positive"):
+            call()
+
+
 def test_walks_leave_no_reference_cycles():
     # a walk's pop memo must be freed when the walk ends, not at the next
-    # full garbage collection
+    # full garbage collection, and a run on one word (with the pop
+    # kernel's per-body plans) must leave nothing for the collector either
     s = spec((1, 3, 2, 4), domain=Domain.CAYLEY)
     gc.collect()
     gc.disable()
@@ -316,6 +363,8 @@ def test_walks_leave_no_reference_cycles():
         image_set(s, 5, sorted_only=True)
         fertility((2, 1, 3, 1, 2), s)
         sigma_stack_output((2, 4, 1, 3, 3), s)
+        is_sortable((3, 1, 4, 2, 2), s)
+        machine_run((1, 3, 2, 4, 1), s, with_trace=True)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -162,8 +162,7 @@ def test_path_pattern_factor_matching():
         contains((1, 2), p)
 
 
-# Property tests: the search against a naive scan of every index subset,
-# with and without the anchor.
+# Property test: the search against a naive scan of every index subset.
 
 CAYLEY_BODIES = st.integers(1, 5).flatmap(lambda k: st.lists(
     st.integers(1, k), min_size=k, max_size=k).map(standardize))
@@ -177,8 +176,6 @@ def test_contains_classical_matches_occurrences(w, body):
              if standardize([w[i] for i in occ]) == body]
     assert occurrences_of(w, classical(body)) == naive
     assert contains_classical(w, body) == bool(naive)
-    assert contains_classical(w, body, anchored=True) == \
-        any(o[0] == 0 for o in naive)
 
 
 def test_letters_below_one_are_rejected():
