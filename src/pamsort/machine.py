@@ -34,8 +34,8 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .paths_trees import LatticePath, PathKind, matching
-from .patterns import Pattern, PatternKind, format_pattern
-from .words_core import Domain, Word
+from .patterns import _NO_BOUND, Pattern, PatternKind, format_pattern
+from .words_core import Domain, Word, _check_letters
 
 DEFAULT_GUARDS = {
     Domain.PERM: 11,
@@ -96,19 +96,25 @@ class MachineTrace:
         })
 
 
-_NO_BOUND = float("inf")  # upper bound of a letter with no letter above it
-
-
 @lru_cache(maxsize=None)
 def _pop_plan(body: Word) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """How ``_must_pop`` matches an occurrence of ``body`` whose first
-    letter is the incoming one: the order of ``body[1]`` against
-    ``body[0]`` (-1, 0 or 1), and for each later letter ``body[t]`` the
-    indices into the bound letters (see ``_completes``) of the letter it
-    equals, or else of the letters just below and just above it.
+    letter is the incoming one, worked out once per body.
 
-    An index past the body's end names a bound below every letter (0) or
-    above every letter.
+    Returns the order of ``body[1]`` against ``body[0]`` (-1, 0 or 1) and
+    one step ``(eq, lo, hi)`` for each later letter ``body[t]``.  The
+    three are positions s < t in the body, read as the stack letters
+    bound to ``body[s]`` (see ``_completes``): ``eq`` is a position of
+    the same letter (-1 if ``body[t]`` is new), and otherwise the letter
+    for ``body[t]`` lies strictly between the letters at ``lo`` and
+    ``hi``, the nearest smaller and larger letters of ``body[:t]``.
+    Position ``len(body)`` stands for a bound below every letter and
+    ``len(body) + 1`` for one above every letter.
+
+    >>> _pop_plan((2, 3, 1))  # 1 lies below 2 and has nothing below it
+    (1, ((-1, 3, 0),))
+    >>> _pop_plan((1, 2, 2, 1))
+    (1, ((1, 0, 5), (0, 4, 1)))
     """
     k = len(body)
     steps = []
@@ -169,12 +175,6 @@ def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
             a, b = x, _NO_BOUND
         else:
             a, b = x - 1, x + 1
-        if not steps:  # a length-2 body: the order alone decides
-            for p in range(cut):
-                if a < stack[p] < b:
-                    cut = p
-                    break
-            continue
         bound: list[int | float] = [x] * len(body) + [0, _NO_BOUND]
         for p in range(len(steps), cut):
             y = stack[p]
@@ -192,13 +192,6 @@ def _push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
     push.  Returns (new stack, popped letters in pop order)."""
     cut = len(stack) - _must_pop(stack, x, bodies)
     return stack[:cut] + (x,), stack[cut:][::-1]
-
-
-def _check_letters(w: Sequence[int]) -> None:
-    """A word enters the machine here: the pop kernel takes its letters to
-    be positive integers and checks nothing itself."""
-    if w and min(w) < 1:
-        raise ValueError(f"letters must be positive integers: {tuple(w)}")
 
 
 def sigma_stack_output(w: Sequence[int], spec: MachineSpec,

@@ -25,8 +25,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .words_core import (Domain, Word, format_word, is_member, parse_word,
-                         standardize)
+from .words_core import (Domain, Word, _check_letters, format_word, is_member,
+                         parse_word, standardize)
 
 
 class PatternKind(enum.Enum):
@@ -308,8 +308,7 @@ def _search(x: Sequence[int], body: Word,
     letter class is bounded once per level by its nearest bound classes.
     Letters are positive integers, since 0 marks an unbound class.
     """
-    if x and min(x) < 1:
-        raise ValueError(f"letters must be positive integers: {tuple(x)}")
+    _check_letters(x)
     k = len(body)
     n = len(x)
     if k == 0:

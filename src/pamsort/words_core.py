@@ -42,11 +42,16 @@ class SumMode(enum.Enum):
     SKEW = "skew"
 
 
+def _check_letters(w: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless every letter of ``w`` is at least 1."""
+    if w and min(w) < 1:
+        raise ValueError(f"letters must be positive integers: {tuple(w)}")
+
+
 def word(letters: Iterable[int]) -> Word:
     """Build a word, validating that all letters are positive integers."""
     w = tuple(int(v) for v in letters)
-    if any(v < 1 for v in w):
-        raise ValueError(f"letters must be positive integers: {w}")
+    _check_letters(w)
     return w
 
 

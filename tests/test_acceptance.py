@@ -17,18 +17,19 @@ from pamsort.bijections import (av213_to_dyck, av321_to_rgfnr12321,
                                 rgfnr12321_to_av321, schroder_to_sort123,
                                 sort123_to_schroder, StoreMode)
 from pamsort.enumeration import (Method, ballot, binom_transform_catalan,
-                                 catalan, catalan_poly_g, count_sortable,
-                                 fishburn, golden_table, narayana,
-                                 odd_fibonacci, pair123_321, sort123_formula,
-                                 verify_golden, xi_count)
+                                 catalan, count_sortable, fishburn,
+                                 golden_table, narayana, odd_fibonacci,
+                                 pair123_321, sort123_formula, verify_golden,
+                                 xi_count)
 from pamsort.machine import (MachineSpec, image_set, is_sortable, iter_domain,
                              sigma_stack_output, sortable_count,
                              sortable_words)
 from pamsort.oracles import (classify, fertility_123, is_effective,
                              is_fully_bijective_cayley, oracle_is_sortable,
                              sorted_set_123, verify_witness)
-from pamsort.paths_trees import (count_dyck_bounded, double_rises, iter_dyck,
-                                 iter_motzkin, rule_catalog, rule_level_counts)
+from pamsort.paths_trees import (count_dyck_bounded, double_rises, height,
+                                 iter_dyck, iter_motzkin, rule_catalog,
+                                 rule_level_counts)
 from pamsort.patterns import classical, contains, parse_pattern
 from pamsort.words_core import Domain, is_member, ltr_maxima, reverse
 
@@ -104,30 +105,19 @@ def test_criterion_04_pairs_table():
     _ok(4, "pair-machine counts match, incl. (123,321) = 7*2^(n-4)")
 
 
-def _series_quotient(a, b, terms):
-    """The first ``terms`` coefficients of the power series a(t)/b(t),
-    for polynomials with b(0) = 1."""
-    q = []
-    for n in range(terms):
-        c = a[n] if n < len(a) else 0
-        q.append(c - sum(b[i] * q[n - i]
-                         for i in range(1, min(n, len(b) - 1) + 1)))
-    return q
-
-
 def test_criterion_05_decr_table():
     report = verify_golden("decr", max_n=9)
     assert report["pass"], report
+    heights = {n: [height(p) for p in iter_dyck(n)] for n in range(1, 10)}
     for key, (start, counts) in golden_table("decr").rows.items():
         k = int(key)
         assert 3 <= k <= 7
-        # F_{k-1} = G_{k-1} / G_k, from the polynomials alone
-        f = _series_quotient(catalan_poly_g(k - 1), catalan_poly_g(k), 10)
         for n in range(1, 10):
             c = counts[n - start]
             assert count_dyck_bounded(n, k - 1) == c, (k, n)
-            assert f[n] == c, (k, n)
-    _ok(5, "decreasing-pattern rows = bounded Dyck counts = F_k coefficients")
+            # the same count by filtering every Dyck path on its height
+            assert sum(h <= k - 1 for h in heights[n]) == c, (k, n)
+    _ok(5, "decreasing-pattern rows = height-bounded Dyck path counts")
 
 
 def test_criterion_06_sorted_table_and_fertility():
