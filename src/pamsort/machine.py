@@ -30,7 +30,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import islice, permutations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .paths_trees import LatticePath, PathKind, matching
@@ -389,8 +389,14 @@ def _walk(d: Domain, n: int, state: _S,
 
 
 def iter_domain(d: Domain, n: int, max_n: int | None = None) -> Iterator[Word]:
-    """All length-n words of the domain, in lexicographic order."""
+    """All length-n words of the domain, in lexicographic order.
+
+    Permutations come from ``itertools.permutations``, which yields the
+    permutations of a sorted input in lexicographic order; the other
+    domains take the prefix-tree walk."""
     _check_guard(d, n, max_n)
+    if d is Domain.PERM:
+        return permutations(range(1, n + 1))
     return (w for w, _ in _walk(d, n, None))
 
 

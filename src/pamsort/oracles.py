@@ -214,7 +214,8 @@ _PAIR_ORACLES: dict[tuple[Word, ...], Callable[[Word], bool]] = {
         lambda w: sortable_123(w) and not contains_classical(w, (1, 2, 3)),
     ((1, 3, 2), (2, 3, 1)):
         _avoider(classical((1, 3, 2, 4)), classical((2, 3, 1, 4))),
-    ((1, 3, 2), (3, 2, 1)): _avoider(NAMED["mu"], classical((1, 2, 3))),
+    # the one-pass 123 check first: most long words fail it
+    ((1, 3, 2), (3, 2, 1)): _avoider(classical((1, 2, 3)), NAMED["mu"]),
 }
 
 
@@ -237,8 +238,13 @@ def oracle_for(spec: MachineSpec) -> Callable[[Word], bool]:
 
 
 def oracle_is_sortable(w: Sequence[int], spec: MachineSpec) -> bool:
-    """Closed-form sortability; raises FallbackRequired on open cases."""
-    return oracle_for(spec)(tuple(w))
+    """Closed-form sortability; raises FallbackRequired on open cases and
+    ``ValueError`` for a word outside the machine's domain."""
+    w = tuple(w)
+    if not is_member(w, spec.domain):
+        raise ValueError(
+            f"{format_word(w)} is not a member of domain {spec.domain.value}")
+    return oracle_for(spec)(w)
 
 
 # ---------------------------------------------------------------------------

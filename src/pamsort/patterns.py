@@ -23,7 +23,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import neg
+from typing import Callable, Iterable, Sequence
 
 from .words_core import (Domain, Word, _check_letters, format_word, is_member,
                          parse_word, standardize)
@@ -304,9 +305,10 @@ def _search(x: Sequence[int], body: Word,
     tuples in lexicographic order, and stop at the first one that ``accept``
     takes (any one when ``accept`` is None).  Returns whether it stopped.
 
-    The one backtracking search behind every pattern query: each fresh
-    letter class is bounded once per level by its nearest bound classes.
-    Letters are positive integers, since 0 marks an unbound class.
+    The backtracking search behind every pattern query but the one-pass
+    length-3 classical scans: each fresh letter class is bounded once per
+    level by its nearest bound classes.  Letters are positive integers,
+    since 0 marks an unbound class.
     """
     _check_letters(x)
     k = len(body)
@@ -363,16 +365,67 @@ def _search(x: Sequence[int], body: Word,
     return False
 
 
+def _has_231(letters: Iterable[int]) -> bool:
+    """Does the letter stream contain 231?  One pass with a stack: a
+    letter popped by a larger later letter is a "third" value (the 2 of a
+    23), and any later letter strictly below the largest third ends a 231.
+    The stack holds the letters not yet popped, weakly decreasing."""
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    third = -_NO_BOUND
+    for v in letters:
+        if v < third:
+            return True
+        while stack and stack[-1] < v:
+            third = pop()
+        push(v)
+    return False
+
+
+def _has_123(letters: Iterable[int]) -> bool:
+    """Does the letter stream contain 123?  One pass over the two
+    minima: the least letter so far, and the least letter so far that
+    has a smaller letter before it."""
+    low = mid = _NO_BOUND
+    for v in letters:
+        if v > mid:
+            return True
+        if v > low:
+            mid = v
+        else:
+            low = v
+    return False
+
+
+# One-pass scans for the length-3 permutation bodies, by reversal
+# (right to left) and complement (negated letters) of 231 and 123.
+_LENGTH3_SCANS: dict[Word, Callable[[Sequence[int]], bool]] = {
+    (2, 3, 1): _has_231,
+    (1, 3, 2): lambda x: _has_231(reversed(x)),
+    (2, 1, 3): lambda x: _has_231(map(neg, x)),
+    (3, 1, 2): lambda x: _has_231(map(neg, reversed(x))),
+    (1, 2, 3): _has_123,
+    (3, 2, 1): lambda x: _has_123(reversed(x)),
+}
+
+
 def contains_classical(x: Sequence[int], body: Word) -> bool:
     """Does ``x`` contain the classical pattern ``body``?  Letters are
     positive integers; a word with a letter below 1 raises ``ValueError``.
+
+    The six length-3 permutation bodies take a one-pass scan; every other
+    body takes the backtracking search.
 
     >>> contains_classical((4, 2, 3, 1), (2, 3, 1))
     True
     >>> contains_classical((4, 2, 3, 1), (1, 2, 3))
     False
     """
-    return _search(x, body)
+    scan = _LENGTH3_SCANS.get(tuple(body))
+    if scan is None:
+        return _search(x, body)
+    _check_letters(x)
+    return scan(x)
 
 
 def _bivincular_ok(x: Sequence[int], p: Pattern, occ: Word) -> bool:

@@ -9,6 +9,7 @@ import itertools
 from collections import Counter
 from math import comb, factorial
 
+from helpers import ORACLE_CASES
 from pamsort.bijections import (av213_to_dyck, av321_to_rgfnr12321,
                                 beta_motzkin, delta, delta_inverse,
                                 dyck_to_av213, dyck_to_rgf1221, eta,
@@ -65,27 +66,7 @@ def test_criterion_02_appendix_len4_len5():
 
 
 def test_criterion_03_oracle_brute_set_equality():
-    cases = [
-        (Domain.PERM, [(1, 2)], 8), (Domain.PERM, [(2, 1)], 8),
-        (Domain.PERM, [(1, 2, 3)], 8), (Domain.PERM, [(1, 3, 2)], 8),
-        (Domain.PERM, [(3, 2, 1)], 8),           # generic basis {132, R}
-        (Domain.PERM, [(3, 1, 4, 2)], 8),        # generic basis {132}
-        (Domain.PERM, [(1, 2, 3), (1, 3, 2)], 8),
-        (Domain.PERM, [(1, 2, 3), (3, 1, 2)], 8),
-        (Domain.PERM, [(1, 3, 2), (2, 3, 1)], 8),
-        (Domain.PERM, [(1, 3, 2), (3, 2, 1)], 8),
-        (Domain.PERM, [(1, 2, 3), (3, 2, 1)], 8),
-        (Domain.CAYLEY, [(1, 2)], 7), (Domain.CAYLEY, [(2, 1)], 7),
-        (Domain.CAYLEY, [(3, 2, 1)], 7),
-        (Domain.ASC, [(1, 1)], 8), (Domain.ASC, [(1, 2)], 8),
-        (Domain.ASC, [(1, 2, 1)], 8), (Domain.ASC, [(1, 2, 3)], 8),
-        (Domain.ASC, [(1, 2, 3, 4)], 8),
-        (Domain.MODASC, [(1, 1)], 8), (Domain.MODASC, [(1, 2)], 8),
-        (Domain.MODASC, [(1, 2, 1)], 8), (Domain.MODASC, [(1, 2, 3)], 8),
-        (Domain.MODASC, [(1, 2, 2)], 8),
-        (Domain.MODASC, [(1, 2, 2, 1)], 8),
-    ]
-    for dom, bodies, nmax in cases:
+    for dom, bodies, nmax in ORACLE_CASES:
         s = MachineSpec(tuple(classical(b) for b in bodies), dom)
         for n in range(1, nmax + 1):
             for w in iter_domain(dom, n):

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import domain_words
 from pamsort.enumeration import bell, fishburn, fubini
-from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, _must_pop,
+from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, _must_pop, _walk,
                              encode_labeled_path, fertility, image_set,
                              is_sortable, iter_domain, machine_outputs,
                              machine_run, sigma_stack_output, sortable_count,
                              sortable_words, stack21_output)
 from pamsort.patterns import classical, contains
-from pamsort.words_core import (Domain, identity, is_member, modify, reverse,
+from pamsort.words_core import (Domain, identity, is_member, reverse,
                                 standardize)
 
 
@@ -108,6 +109,15 @@ def test_iter_domain_counts_and_order():
         assert sum(1 for _ in iter_domain(Domain.RGF, n)) == bell(n)
         assert sum(1 for _ in iter_domain(Domain.ASC, n)) == fishburn(n)
         assert sum(1 for _ in iter_domain(Domain.MODASC, n)) == fishburn(n)
+
+
+def test_perm_words_match_the_walk():
+    for n in range(9):
+        assert list(iter_domain(Domain.PERM, n)) == \
+            [w for w, _ in _walk(Domain.PERM, n, None)], n
+    for n in (-1, 12):
+        with pytest.raises(ValueError, match="n="):
+            iter_domain(Domain.PERM, n)
 
 
 def test_guard_enforced_and_overridable():
@@ -247,25 +257,6 @@ def test_machine_outputs_matches_direct_map():
 
 # Property tests: random words of length 8-16 in every domain against the
 # naive references above.
-
-@st.composite
-def domain_words(draw, d, min_len=8, max_len=16):
-    """A random word of domain ``d``, built letter by letter."""
-    n = draw(st.integers(min_len, max_len))
-    if d is Domain.PERM:
-        return tuple(draw(st.permutations(range(1, n + 1))))
-    if d is Domain.CAYLEY:
-        return standardize(draw(st.lists(st.integers(1, n), min_size=n,
-                                         max_size=n)))
-    w = []
-    for _ in range(n):
-        if d is Domain.RGF:
-            hi = max(w, default=0) + 1
-        else:
-            hi = 1 if not w else 2 + sum(a < b for a, b in zip(w, w[1:]))
-        w.append(draw(st.integers(1, hi)))
-    return modify(tuple(w)) if d is Domain.MODASC else tuple(w)
-
 
 # Cayley bodies of length 2-5; repeated-letter bodies are drawn often.
 SIGMA_BODIES = st.one_of(

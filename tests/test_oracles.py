@@ -3,7 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import ORACLE_CASES, domain_words
 from pamsort.machine import (MachineSpec, image_set, is_sortable, iter_domain,
                              fertility, sortable_words)
 from pamsort.oracles import (FallbackRequired, classify, fertility_123, hat,
@@ -49,6 +52,29 @@ def test_oracle_dispatch_and_fallback():
     assert oracle_is_sortable((2, 4, 1, 3), spec((1, 3, 2)))
     assert oracle_is_sortable((3, 5, 2, 4, 1), spec((2, 1)))
     assert not oracle_is_sortable((3, 2, 4, 1), spec((2, 1)))
+
+
+def test_oracle_rejects_words_outside_the_domain():
+    with pytest.raises(ValueError, match="not a member of domain perm"):
+        oracle_is_sortable((2, 3, 2, 1), spec((1, 3, 2)))
+    with pytest.raises(ValueError, match="not a member of domain asc"):
+        oracle_is_sortable((2, 1), spec((1, 2), Domain.ASC))
+    # open machines check the word first as well
+    with pytest.raises(ValueError, match="not a member"):
+        oracle_is_sortable((1, 1), spec((2, 3, 1)))
+
+
+@pytest.mark.parametrize(
+    "case", ORACLE_CASES,
+    ids=lambda c: c[0].value + "-" + ",".join("".join(map(str, b))
+                                              for b in c[1]))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_oracle_matches_machine_on_long_words(case, data):
+    d, bodies, _ = case
+    s = MachineSpec(tuple(classical(b) for b in bodies), d)
+    w = data.draw(domain_words(d))
+    assert oracle_is_sortable(w, s) == is_sortable(w, s)
 
 
 def test_classify_class_cases_perm():

@@ -185,3 +185,26 @@ def test_letters_below_one_are_rejected():
         contains((1, -2), classical((2, 1)))
     with pytest.raises(ValueError, match="positive"):
         occurrences_of((0, 2, 1), parse_pattern("@mu"))
+
+
+# Property test: the one-pass length-3 scans against the naive scan, on
+# free words with repeated letters.
+
+LENGTH3_BODIES = list(itertools.permutations((1, 2, 3)))
+
+
+@pytest.mark.parametrize("body", LENGTH3_BODIES,
+                         ids=lambda b: "".join(map(str, b)))
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.integers(1, 9), max_size=16).map(tuple))
+def test_length3_scans_match_naive(body, w):
+    naive = any(standardize(sub) == body
+                for sub in itertools.combinations(w, 3))
+    assert contains_classical(w, body) == naive
+
+
+@pytest.mark.parametrize("body", LENGTH3_BODIES,
+                         ids=lambda b: "".join(map(str, b)))
+def test_length3_scans_reject_letters_below_one(body):
+    with pytest.raises(ValueError, match="positive"):
+        contains_classical((3, 0, 2, 1), body)
