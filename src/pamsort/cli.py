@@ -87,13 +87,13 @@ def _split_sigma(text: str) -> list[str]:
         else:
             cur.append(c)
     parts.append("".join(cur))
-    return [p for p in (s.strip() for s in parts) if p]
+    return [s.strip() for s in parts]
 
 
 def _patterns(sigma: str) -> tuple[Pattern, ...]:
     specs = _split_sigma(sigma)
-    if not specs:
-        raise _ParseFailure("empty --sigma")
+    if not all(specs):
+        raise _ParseFailure(f"empty pattern in --sigma {sigma!r}")
     return tuple(parse_pattern(s) for s in specs)
 
 

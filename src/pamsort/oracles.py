@@ -18,12 +18,14 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .machine import MachineSpec, image_set, is_sortable
 from .paths_trees import catalan
-from .patterns import (NAMED, Pattern, PatternKind, classical, contains,
-                       contains_classical, format_pattern, mesh)
+from .patterns import (_MESH_3241, NAMED, Pattern, PatternKind, _direct_scan,
+                       classical, contains, contains_classical,
+                       format_pattern)
 from .words_core import (Domain, SumMode, Which, Word, combine, decreasing,
                          format_word, is_member, ltr_decompose, reverse,
                          standardize)
@@ -165,12 +167,6 @@ def _sortable_123_312(w: Word) -> bool:
 # ---------------------------------------------------------------------------
 # Known sortable sets and oracle dispatch
 
-# Sort(21) = Av(2341, barred 35241 with the 5 barred): a 3241 with no
-# letter above its 4 between its 3 and its 2, the mesh pattern that shades
-# the barred letter's box.
-_MESH_3241 = mesh((3, 2, 4, 1), boxes=((1, 4),))
-
-
 def _sortable_basis(sigma: Word, domain: Domain) -> tuple[Pattern, ...] | None:
     """Avoidance basis of the sigma-machine's sortable set on the domain,
     or None where no basis is known."""
@@ -203,8 +199,19 @@ def _sortable_basis(sigma: Word, domain: Domain) -> tuple[Pattern, ...] | None:
     return None
 
 
-def _avoider(*ps: Pattern) -> Callable[[Word], bool]:
-    return lambda w: not any(contains(w, p) for p in ps)
+def _avoider(first: Pattern, second: Pattern | None = None
+             ) -> Callable[[Word], bool]:
+    """Avoidance predicate of a basis of one or two patterns, on domain
+    words.  Each pattern is resolved once, to its direct scan or else to
+    :func:`contains`; the predicate checks no letters."""
+    def test(p: Pattern) -> Callable[[Word], bool]:
+        return _direct_scan(p) or (lambda w: contains(w, p))
+
+    a = test(first)
+    if second is None:
+        return lambda w: not a(w)
+    b = test(second)
+    return lambda w: not (a(w) or b(w))
 
 
 _PAIR_ORACLES: dict[tuple[Word, ...], Callable[[Word], bool]] = {
@@ -221,9 +228,19 @@ _PAIR_ORACLES: dict[tuple[Word, ...], Callable[[Word], bool]] = {
 
 def oracle_for(spec: MachineSpec) -> Callable[[Word], bool]:
     """Closed-form sortability predicate for the machine, if one is known.
+    The predicate takes words of the machine's domain and is built once
+    per spec.
 
-    Raises :class:`FallbackRequired` for the open cases.
+    Raises :class:`FallbackRequired` for the open cases, on every call.
     """
+    pred = _compiled_oracle(spec)
+    if pred is None:
+        raise FallbackRequired(f"open case: {spec}")
+    return pred
+
+
+@lru_cache(maxsize=256)
+def _compiled_oracle(spec: MachineSpec) -> Callable[[Word], bool] | None:
     d = spec.domain
     bodies = tuple(sorted(spec.bodies))
     if d is Domain.PERM and bodies == ((1, 2, 3),):
@@ -232,9 +249,9 @@ def oracle_for(spec: MachineSpec) -> Callable[[Word], bool]:
         basis = _sortable_basis(bodies[0], d)
         if basis is not None:
             return _avoider(*basis)
-    elif d is Domain.PERM and bodies in _PAIR_ORACLES:
-        return _PAIR_ORACLES[bodies]
-    raise FallbackRequired(f"open case: {spec}")
+    elif d is Domain.PERM:
+        return _PAIR_ORACLES.get(bodies)
+    return None
 
 
 def oracle_is_sortable(w: Sequence[int], spec: MachineSpec) -> bool:

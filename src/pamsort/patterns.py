@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterable, Sequence
@@ -305,9 +306,9 @@ def _search(x: Sequence[int], body: Word,
     tuples in lexicographic order, and stop at the first one that ``accept``
     takes (any one when ``accept`` is None).  Returns whether it stopped.
 
-    The backtracking search behind every pattern query but the one-pass
-    length-3 classical scans: each fresh letter class is bounded once per
-    level by its nearest bound classes.  Letters are positive integers,
+    The backtracking search behind every pattern query but the direct
+    scans (:func:`_direct_scan`): each fresh letter class is bounded once
+    per level by its nearest bound classes.  Letters are positive integers,
     since 0 marks an unbound class.
     """
     _check_letters(x)
@@ -397,31 +398,218 @@ def _has_123(letters: Iterable[int]) -> bool:
     return False
 
 
-# One-pass scans for the length-3 permutation bodies, by reversal
-# (right to left) and complement (negated letters) of 231 and 123.
-_LENGTH3_SCANS: dict[Word, Callable[[Sequence[int]], bool]] = {
+def _has_1324(x: Sequence[int]) -> bool:
+    """Does ``x`` contain 1324?  For each position j of the 3: a 1 is any
+    earlier letter below the 2, so the least letter before j stands for
+    all of them; a 4 is any letter above the 3 after the 2, so the last
+    such letter leaves the most room for the 2, which is then any letter
+    in between strictly between the 1 and the 3.
+
+    >>> _has_1324((2, 5, 3, 6)), _has_1324((2, 5, 1, 6))
+    (True, False)
+    """
+    n = len(x)
+    one = x[0] if x else 0      # the least letter before j
+    for j in range(1, n - 2):
+        three = x[j]
+        if three < one:
+            one = three
+            continue
+        for l in range(n - 1, j + 1, -1):
+            if x[l] > three:
+                for k in range(j + 1, l):
+                    if one < x[k] < three:
+                        return True
+                break
+    return False
+
+
+def _has_2314(x: Sequence[int]) -> bool:
+    """Does ``x`` contain 2314?  For each position j of the 3: the best 2
+    is the largest earlier letter below it (found in the sorted letters
+    before j), the best 4 is the last letter above the 3, and a 1 is any
+    letter in between below the 2.
+
+    >>> _has_2314((2, 3, 1, 4)), _has_2314((2, 3, 2, 4))
+    (True, False)
+    """
+    n = len(x)
+    seen = sorted(x[:1])        # the letters before j, sorted
+    for j in range(1, n - 2):
+        three = x[j]
+        p = bisect_left(seen, three)
+        seen.insert(p, three)
+        if not p:
+            continue
+        two = seen[p - 1]
+        for l in range(n - 1, j + 1, -1):
+            if x[l] > three:
+                for k in range(j + 1, l):
+                    if x[k] < two:
+                        return True
+                break
+    return False
+
+
+def _has_2341(x: Sequence[int]) -> bool:
+    """Does ``x`` contain 2341?  For each position j of the 3: the best 2
+    is the largest earlier letter below it (found in the sorted letters
+    before j), the best 4 is the first later letter above the 3, and a 1
+    is any letter after the 4 below the 2.
+
+    >>> _has_2341((2, 3, 4, 1)), _has_2341((2, 3, 4, 2))
+    (True, False)
+    """
+    n = len(x)
+    seen = sorted(x[:1])        # the letters before j, sorted
+    for j in range(1, n - 2):
+        three = x[j]
+        p = bisect_left(seen, three)
+        seen.insert(p, three)
+        if not p:
+            continue
+        two = seen[p - 1]
+        for k in range(j + 1, n - 1):
+            if x[k] > three:
+                for l in range(k + 1, n):
+                    if x[l] < two:
+                        return True
+                break
+    return False
+
+
+def _has_mu(x: Sequence[int]) -> bool:
+    """Does ``x`` contain mu = mesh(132;(0,2),(2,0),(2,1))?  An occurrence
+    is a 132 at positions i < j < k with no letter before i strictly
+    between its 2 and its 3, and no letter between j and k below its 2
+    other than a copy of its 1.
+
+    For each 2 (position k), let q be the nearest earlier letter below it.
+    A 3 after q has only letters at least the 2 between it and k, so its
+    best 1 is the first letter of ``x`` below the 2, and the least such 3
+    is the best: it may be at most the least letter above the 2 before
+    that 1.  A 3 before q has a copy of ``x[q]`` between it and the 2, so
+    its 1 is the first copy of ``x[q]``, and a second value below the 2
+    in between ends the search.
+
+    >>> _has_mu((2, 5, 3, 4, 1)), _has_mu((2, 4, 1, 3)), _has_mu((1, 3, 1, 2))
+    (True, False, True)
+    """
+    n = len(x)
+    for k in range(2, n):
+        two = x[k]
+        three = _NO_BOUND
+        q = k - 1
+        while q >= 0 and x[q] >= two:
+            if two < x[q] < three:
+                three = x[q]
+            q -= 1
+        if q < 0:
+            continue
+        if three < _NO_BOUND:
+            cap = _NO_BOUND     # the least letter above the 2 before the 1
+            for u in x:
+                if u < two:
+                    break
+                if two < u < cap:
+                    cap = u
+            if three <= cap:
+                return True
+        low = x[q]
+        i = x.index(low)
+        three = _NO_BOUND
+        for j in range(q - 1, i, -1):
+            v = x[j]
+            if v > two:
+                if v < three:
+                    three = v
+            elif v < two and v != low:
+                break
+        if three < _NO_BOUND and three <= min(
+                [u for u in x[:i] if u > two], default=_NO_BOUND):
+            return True
+    return False
+
+
+def _has_mesh_3241(x: Sequence[int]) -> bool:
+    """Does ``x`` contain mesh(3241;(1,4)), a 3241 with no letter above
+    its 4 between its 3 and its 2?
+
+    For each 2 (position b): a 4 must come before some later letter below
+    the 2, so the best 4 is the largest letter before the last such
+    letter.  The 3 is then sought right to left before b, and a letter
+    passed that is above that 4 ends the search.
+
+    >>> _has_mesh_3241((3, 2, 4, 1)), _has_mesh_3241((3, 5, 2, 4, 1))
+    (True, False)
+    """
+    n = len(x)
+    for b in range(1, n - 2):
+        two = x[b]
+        d = n - 1
+        while d > b + 1 and x[d] >= two:
+            d -= 1
+        if d == b + 1:
+            continue
+        four = max(x[b + 1:d])
+        for a in range(b - 1, -1, -1):
+            v = x[a]
+            if two < v < four:
+                return True
+            if v > four:
+                break
+    return False
+
+
+# Direct scans for the classical bodies: the one-pass length-3 scans, by
+# reversal (right to left) and complement (negated letters) of 231 and
+# 123, and the pair scans of the hot oracle bases.
+_CLASSICAL_SCANS: dict[Word, Callable[[Sequence[int]], bool]] = {
     (2, 3, 1): _has_231,
     (1, 3, 2): lambda x: _has_231(reversed(x)),
     (2, 1, 3): lambda x: _has_231(map(neg, x)),
     (3, 1, 2): lambda x: _has_231(map(neg, reversed(x))),
     (1, 2, 3): _has_123,
     (3, 2, 1): lambda x: _has_123(reversed(x)),
+    (1, 3, 2, 4): _has_1324,
+    (2, 3, 1, 4): _has_2314,
+    (2, 3, 4, 1): _has_2341,
 }
+
+# Sort(21) = Av(2341, barred 35241 with the 5 barred): a 3241 with no
+# letter above its 4 between its 3 and its 2, the mesh pattern that shades
+# the barred letter's box.
+_MESH_3241 = mesh((3, 2, 4, 1), boxes=((1, 4),))
+
+_MESH_SCANS: dict[Pattern, Callable[[Sequence[int]], bool]] = {
+    NAMED["mu"]: _has_mu,
+    _MESH_3241: _has_mesh_3241,
+}
+
+
+def _direct_scan(p: Pattern) -> Callable[[Sequence[int]], bool] | None:
+    """The direct scan that answers containment of ``p``, or None where
+    only the backtracking search does.  A scan does not check letters."""
+    if p.kind is PatternKind.CLASSICAL:
+        return _CLASSICAL_SCANS.get(p.body)
+    if p.kind is PatternKind.MESH:
+        return _MESH_SCANS.get(p)
+    return None
 
 
 def contains_classical(x: Sequence[int], body: Word) -> bool:
     """Does ``x`` contain the classical pattern ``body``?  Letters are
     positive integers; a word with a letter below 1 raises ``ValueError``.
 
-    The six length-3 permutation bodies take a one-pass scan; every other
-    body takes the backtracking search.
+    The six length-3 permutation bodies and 1324, 2314 and 2341 take a
+    direct scan; every other body takes the backtracking search.
 
     >>> contains_classical((4, 2, 3, 1), (2, 3, 1))
     True
     >>> contains_classical((4, 2, 3, 1), (1, 2, 3))
     False
     """
-    scan = _LENGTH3_SCANS.get(tuple(body))
+    scan = _CLASSICAL_SCANS.get(tuple(body))
     if scan is None:
         return _search(x, body)
     _check_letters(x)
@@ -524,13 +712,21 @@ def occurrences_of(w: Sequence[int], p: Pattern) -> list[Word]:
 
 def contains(w: Sequence[int], p: Pattern) -> bool:
     """Does ``w`` contain the pattern ``p``?  Letters are positive
-    integers; a word with a letter below 1 raises ``ValueError``."""
+    integers; a word with a letter below 1 raises ``ValueError``.
+
+    Classical patterns go through :func:`contains_classical`, the mesh
+    patterns mu and mesh(3241;(1,4)) take a direct scan, and every other
+    pattern takes the backtracking search.
+    """
     w = tuple(w)
+    if p.kind is PatternKind.CLASSICAL:
+        # one call of the function that traced runs count as a pattern check
+        return contains_classical(w, p.body)
+    scan = _direct_scan(p)
+    if scan is not None:
+        _check_letters(w)
+        return scan(w)
     body, accept = _search_terms(w, p)
-    if accept is None:
-        # a classical pattern: one call of the function that traced runs
-        # count as a pattern check
-        return contains_classical(w, body)
     return _search(w, body, accept)
 
 

@@ -58,35 +58,56 @@ def word(letters: Iterable[int]) -> Word:
 def parse_word(text: str) -> Word:
     """Parse a word from text.
 
-    Accepts space-separated decimal integers, or a compact all-digits form
-    (e.g. ``"25341"``) in which every letter is a single digit.
+    Accepts decimal integers separated by spaces or commas, or a compact
+    all-digits form (e.g. ``"25341"``) in which every letter is a single
+    digit.  A lone letter followed by one comma (``"11,"``) is a one-letter
+    word, since ``"11"`` reads as (1, 1).  Any other empty comma field
+    (leading, trailing or doubled commas) raises ``ValueError``.
 
     >>> parse_word("13 14 15 10 12")
     (13, 14, 15, 10, 12)
     >>> parse_word("25341")
     (2, 5, 3, 4, 1)
+    >>> parse_word("11,")
+    (11,)
+    >>> parse_word("1,2,,3")
+    Traceback (most recent call last):
+    ...
+    ValueError: empty field in word: '1,2,,3'
     """
     text = text.strip()
     if not text:
         return ()
-    if " " in text or "," in text:
-        parts = text.replace(",", " ").split()
-        return word(parts)
+    if "," in text:
+        fields = text.split(",")
+        if (len(fields) == 2 and not fields[1].strip()
+                and len(fields[0].split()) == 1):
+            fields.pop()
+        if not all(f.strip() for f in fields):
+            raise ValueError(f"empty field in word: {text!r}")
+        return word(" ".join(fields).split())
+    if " " in text:
+        return word(text.split())
     if text.isdigit():
         return word(text)
     raise ValueError(f"cannot parse word: {text!r}")
 
 
 def format_word(w: Word) -> str:
-    """Render a word compactly when all letters are single digits.
+    """Render a word compactly when all letters are single digits, else
+    with spaces between the letters; ``parse_word(format_word(w)) == w``.
 
     >>> format_word((2, 5, 3, 4, 1))
     '25341'
     >>> format_word((13, 14, 1))
     '13 14 1'
+    >>> format_word((13,))
+    '13,'
     """
     if all(v <= 9 for v in w):
         return "".join(str(v) for v in w)
+    if len(w) == 1:
+        return f"{w[0]},"
     return " ".join(str(v) for v in w)
 
 

@@ -156,6 +156,25 @@ def test_domain_error_exit_code_1():
     assert r.exit_code == 1   # 132 is not an RGF
 
 
+def test_malformed_input_exit_statuses():
+    # a malformed word or pattern is a parse error (2), a well-formed word
+    # outside the domain a domain error (1)
+    for cmd in ("sortable", "sort", "trace"):
+        for word in ("1,2,,3", ",1,2", "1,2,", "1x23"):
+            r = run(cmd, "--sigma", "132", word)
+            assert r.exit_code == 2 and r.stdout == "", (cmd, word)
+            assert "parse error:" in r.stderr, (cmd, word)
+        for sigma in ("mesh(132;(0,9))", "132,,321", "132,", "",
+                      "bv(132;S={5};T={})"):
+            r = run(cmd, "--sigma", sigma, "2413")
+            assert r.exit_code == 2 and r.stdout == "", (cmd, sigma)
+            assert "parse error:" in r.stderr, (cmd, sigma)
+        for word in ("2,3,2,1", "1 2 4"):
+            r = run(cmd, "--sigma", "132", word)
+            assert r.exit_code == 1 and r.stdout == "", (cmd, word)
+            assert "not a member of domain perm" in r.stderr, (cmd, word)
+
+
 def test_verify_command_small():
     r = run("verify", "appendix_len3", "--max-n", "5")
     assert r.exit_code == 0

@@ -1,12 +1,13 @@
 """Unit tests for characterization oracles and the classifier."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ORACLE_CASES, domain_words
+from helpers import ORACLE_CASES, domain_words, perm_word
 from pamsort.machine import (MachineSpec, image_set, is_sortable, iter_domain,
                              fertility, sortable_words)
 from pamsort.oracles import (FallbackRequired, classify, fertility_123, hat,
@@ -54,6 +55,19 @@ def test_oracle_dispatch_and_fallback():
     assert not oracle_is_sortable((3, 2, 4, 1), spec((2, 1)))
 
 
+def test_oracle_for_builds_each_predicate_once():
+    for d, bodies, _ in ORACLE_CASES:
+        s = MachineSpec(tuple(classical(b) for b in bodies), d)
+        assert oracle_for(s) is oracle_for(MachineSpec(s.sigma, s.domain))
+    # an open case raises on every call, not only on the first
+    s = spec((2, 3, 1))
+    for _ in range(3):
+        with pytest.raises(FallbackRequired):
+            oracle_for(MachineSpec(s.sigma, s.domain))
+        with pytest.raises(FallbackRequired):
+            oracle_is_sortable((1, 2, 3), s)
+
+
 def test_oracle_rejects_words_outside_the_domain():
     with pytest.raises(ValueError, match="not a member of domain perm"):
         oracle_is_sortable((2, 3, 2, 1), spec((1, 3, 2)))
@@ -75,6 +89,21 @@ def test_oracle_matches_machine_on_long_words(case, data):
     s = MachineSpec(tuple(classical(b) for b in bodies), d)
     w = data.draw(domain_words(d))
     assert oracle_is_sortable(w, s) == is_sortable(w, s)
+
+
+@pytest.mark.parametrize(
+    "bodies", [b for d, b, _ in ORACLE_CASES if d is Domain.PERM],
+    ids=lambda b: ",".join("".join(map(str, p)) for p in b))
+def test_oracle_matches_machine_on_both_sides(bodies):
+    # a seeded sample of long permutations that reaches both answers
+    s = MachineSpec(tuple(classical(b) for b in bodies))
+    rng = random.Random(2026)
+    answers = []
+    for _ in range(200):
+        w = perm_word(rng, rng.randint(8, 16))
+        answers.append(oracle_is_sortable(w, s))
+        assert answers[-1] == is_sortable(w, s), w
+    assert answers.count(True) >= 10 and answers.count(False) >= 10
 
 
 def test_classify_class_cases_perm():

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from pamsort.enumeration import xi_count
 from pamsort.machine import iter_domain
-from pamsort.patterns import (NAMED, PatternKind, PatternParseError, avoids,
-                              barred, bivincular, classical, contains,
-                              contains_classical, format_pattern, mesh,
-                              occurrences_of, parse_pattern, path_contains,
-                              path_pattern)
+from pamsort.patterns import (AT, GAP, NAMED, PatternKind, PatternParseError,
+                              avoids, barred, bivincular, cayley_mesh,
+                              classical, contains, contains_classical,
+                              format_pattern, mesh, occurrences_of,
+                              parse_pattern, path_contains, path_pattern)
 from pamsort.words_core import Domain, standardize
 
 
@@ -208,3 +208,100 @@ def test_length3_scans_match_naive(body, w):
 def test_length3_scans_reject_letters_below_one(body):
     with pytest.raises(ValueError, match="positive"):
         contains_classical((3, 0, 2, 1), body)
+
+
+# Property test: the direct scans of the oracle bases against naive
+# checks written here, on free words with repeated letters.
+
+def naive_classical(body):
+    return lambda w: any(standardize(sub) == body
+                         for sub in itertools.combinations(w, len(body)))
+
+
+def naive_mu(w):
+    """mu = mesh(132;(0,2),(2,0),(2,1)): a 132 at i < j < k with no letter
+    before i strictly between the 2 and the 3 (box (0,2)), and no letter
+    between j and k strictly below the 1 (box (2,0)) or strictly between
+    the 1 and the 2 (box (2,1))."""
+    for i, j, k in itertools.combinations(range(len(w)), 3):
+        one, three, two = w[i], w[j], w[k]
+        if (one < two < three
+                and not any(two < v < three for v in w[:i])
+                and not any(v < one or one < v < two for v in w[j + 1:k])):
+            return True
+    return False
+
+
+def naive_mesh_3241(w):
+    """mesh(3241;(1,4)): a 3241 at a < b < c < d with no letter between a
+    and b above the 4 (box (1,4), which reaches the top)."""
+    for a, b, c, d in itertools.combinations(range(len(w)), 4):
+        if (w[d] < w[b] < w[a] < w[c]
+                and not any(v > w[c] for v in w[a + 1:b])):
+            return True
+    return False
+
+
+DIRECT_SCANS = [
+    (classical((1, 3, 2, 4)), naive_classical((1, 3, 2, 4))),
+    (classical((2, 3, 1, 4)), naive_classical((2, 3, 1, 4))),
+    (classical((2, 3, 4, 1)), naive_classical((2, 3, 4, 1))),
+    (parse_pattern("@mu"), naive_mu),
+    (parse_pattern("mesh(3241;(1,4))"), naive_mesh_3241),
+]
+
+
+@pytest.mark.parametrize("pattern, naive", DIRECT_SCANS,
+                         ids=[format_pattern(p) for p, _ in DIRECT_SCANS])
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.integers(1, 9), max_size=16).map(tuple))
+def test_direct_scans_match_naive(pattern, naive, w):
+    want = naive(w)
+    assert contains(w, pattern) == want
+    if pattern.kind is PatternKind.CLASSICAL:
+        assert contains_classical(w, pattern.body) == want
+
+
+@pytest.mark.parametrize("pattern", [p for p, _ in DIRECT_SCANS],
+                         ids=format_pattern)
+def test_direct_scans_reject_letters_below_one(pattern):
+    with pytest.raises(ValueError, match="positive"):
+        contains((3, 0, 2, 1, 4), pattern)
+    if pattern.kind is PatternKind.CLASSICAL:
+        with pytest.raises(ValueError, match="positive"):
+            contains_classical((3, 0, 2, 1, 4), pattern.body)
+
+
+# Property test: every pattern kind round-trips through the printer.
+
+PERM_BODIES = st.integers(1, 5).flatmap(
+    lambda k: st.permutations(range(1, k + 1)).map(tuple))
+
+
+def _subset(k):
+    return st.sets(st.integers(0, k))
+
+
+PATTERNS = st.one_of(
+    CAYLEY_BODIES.map(classical),
+    PERM_BODIES.flatmap(lambda b: st.builds(
+        bivincular, st.just(b), _subset(len(b)), _subset(len(b)))),
+    PERM_BODIES.flatmap(lambda b: st.builds(
+        mesh, st.just(b), st.lists(st.tuples(st.integers(0, len(b)),
+                                             st.integers(0, len(b)))))),
+    CAYLEY_BODIES.flatmap(lambda b: st.builds(
+        cayley_mesh, st.just(b), st.lists(st.tuples(
+            st.integers(0, len(b)),
+            st.one_of(st.tuples(st.just(GAP), st.integers(0, max(b))),
+                      st.tuples(st.just(AT), st.integers(1, max(b)))))))),
+    PERM_BODIES.filter(lambda b: len(b) > 1).flatmap(lambda b: st.builds(
+        barred, st.just(b), st.sets(st.integers(1, len(b)), min_size=1,
+                                    max_size=len(b) - 1))),
+    st.lists(st.sampled_from(("U", "D", "H", "H2"))).map(path_pattern),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=PATTERNS)
+def test_every_pattern_kind_round_trips(p):
+    assert parse_pattern(format_pattern(p)) == p

@@ -19,11 +19,21 @@ def test_parse_and_format_round_trip():
     assert parse_word(format_word(w)) == w
 
 
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.integers(1, 30), max_size=12).map(tuple))
+def test_parse_inverts_format(w):
+    assert parse_word(format_word(w)) == w
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_word("2a13")
     with pytest.raises(ValueError):
         parse_word("0 1 2")
+    for text in ("1,2,,3", ",1,2", "1,2,", ",", "1, ,2", "11,,", "1 2,"):
+        with pytest.raises(ValueError, match="empty field"):
+            parse_word(text)
+    assert parse_word("1, 2,3") == (1, 2, 3)
 
 
 def test_standardize():
