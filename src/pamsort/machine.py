@@ -34,7 +34,8 @@ from itertools import islice, permutations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .paths_trees import LatticePath, PathKind, matching
-from .patterns import _NO_BOUND, Pattern, PatternKind, format_pattern
+from .patterns import (_NO_BOUND, Pattern, PatternKind, _complete, _has_231,
+                       _plan, format_pattern)
 from .words_core import Domain, Word, _check_letters
 
 DEFAULT_GUARDS = {
@@ -96,64 +97,6 @@ class MachineTrace:
         })
 
 
-@lru_cache(maxsize=None)
-def _pop_plan(body: Word) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """How ``_must_pop`` matches an occurrence of ``body`` whose first
-    letter is the incoming one, worked out once per body.
-
-    Returns the order of ``body[1]`` against ``body[0]`` (-1, 0 or 1) and
-    one step ``(eq, lo, hi)`` for each later letter ``body[t]``.  The
-    three are positions s < t in the body, read as the stack letters
-    bound to ``body[s]`` (see ``_completes``): ``eq`` is a position of
-    the same letter (-1 if ``body[t]`` is new), and otherwise the letter
-    for ``body[t]`` lies strictly between the letters at ``lo`` and
-    ``hi``, the nearest smaller and larger letters of ``body[:t]``.
-    Position ``len(body)`` stands for a bound below every letter and
-    ``len(body) + 1`` for one above every letter.
-
-    >>> _pop_plan((2, 3, 1))  # 1 lies below 2 and has nothing below it
-    (1, ((-1, 3, 0),))
-    >>> _pop_plan((1, 2, 2, 1))
-    (1, ((1, 0, 5), (0, 4, 1)))
-    """
-    k = len(body)
-    steps = []
-    for t in range(2, k):
-        c = body[t]
-        below = [s for s in range(t) if body[s] < c]
-        above = [s for s in range(t) if body[s] > c]
-        steps.append((
-            body.index(c) if c in body[:t] else -1,
-            max(below, key=body.__getitem__, default=k),
-            min(above, key=body.__getitem__, default=k + 1)))
-    return (body[1] > body[0]) - (body[1] < body[0]), tuple(steps)
-
-
-def _completes(stack: tuple[int, ...], end: int,
-               steps: tuple[tuple[int, int, int], ...], i: int,
-               bound: list[int | float]) -> bool:
-    """Can the letters of ``stack[:end]``, read top-down, play the body's
-    letters from ``i + 2`` on?  ``bound[t]`` holds the letter that plays
-    ``body[t]`` for the earlier t; the last two entries are the bounds
-    below and above every letter."""
-    if i == len(steps):
-        return True
-    eq, lo, hi = steps[i]
-    if eq >= 0:
-        a = bound[eq] - 1
-        b = a + 2
-    else:
-        a = bound[lo]
-        b = bound[hi]
-    for q in range(end - 1, len(steps) - i - 2, -1):
-        y = stack[q]
-        if a < y < b:
-            bound[i + 2] = y
-            if _completes(stack, q, steps, i + 1, bound):
-                return True
-    return False
-
-
 def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
     """How many letters to pop from the top before ``x`` is pushed (0:
     push at once).
@@ -161,29 +104,28 @@ def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
     The stack avoids Sigma before each push (see the module docstring), so
     only occurrences in which ``x`` plays the first letter matter, and one
     of them survives k pops exactly when its second letter lies deeper
-    than k.  So the stack, stored bottom first, is cut at the deepest
-    letter that plays the second letter of such an occurrence: the first
-    letter from the bottom that stands to ``x`` as ``body[1]`` to
-    ``body[0]`` and has letters below it that complete the body.
+    than k.  So in ``x`` followed by the stack read top-down, the second
+    positions are tried deepest first, and the first one that stands to
+    ``x`` as ``body[1]`` to ``body[0]`` and has letters below it that
+    complete the body along its plan is the number of pops.
     """
-    cut = len(stack)
+    word = (x,) + stack[::-1]
+    pops = 0
     for body in bodies:
-        rel, steps = _pop_plan(body)
-        if rel < 0:
-            a, b = 0, x
-        elif rel > 0:
-            a, b = x, _NO_BOUND
-        else:
-            a, b = x - 1, x + 1
-        bound: list[int | float] = [x] * len(body) + [0, _NO_BOUND]
-        for p in range(len(steps), cut):
-            y = stack[p]
+        plan = _plan(body)
+        k = len(body)
+        bound: list[int | float] = [x] * k + [0, _NO_BOUND]
+        idx = [0] * k
+        eq, lo, hi = plan[0]
+        a, b = (x - 1, x + 1) if eq == 0 else (bound[lo], bound[hi])
+        for p in range(len(word) - k + 1, pops, -1):
+            y = word[p]
             if a < y < b:
                 bound[1] = y
-                if _completes(stack, p, steps, 0, bound):
-                    cut = p
+                if _complete(word, p + 1, plan, 1, bound, idx, None):
+                    pops = p
                     break
-    return len(stack) - cut
+    return pops
 
 
 def _push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
@@ -277,14 +219,9 @@ def _feed_231(detector: _Detector, letters: Iterable[int]) -> _Detector | None:
     return seen, threshold
 
 
-def avoids_231(w: Sequence[int]) -> bool:
-    """Incremental check that ``w`` avoids the classical pattern 231."""
-    return _feed_231(((), 0), w) is not None
-
-
 def is_sortable(w: Sequence[int], spec: MachineSpec) -> bool:
     """Sortable iff the first stack's output avoids 231."""
-    return avoids_231(sigma_stack_output(w, spec))
+    return not _has_231(sigma_stack_output(w, spec))
 
 
 # ---------------------------------------------------------------------------

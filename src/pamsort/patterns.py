@@ -24,6 +24,7 @@ import enum
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import neg
 from typing import Callable, Iterable, Sequence
 
@@ -299,6 +300,70 @@ def format_pattern(p: Pattern) -> str:
 
 _NO_BOUND = float("inf")  # upper bound of a letter class with none above it
 
+_Step = tuple[int, int, int]
+
+
+@lru_cache(maxsize=None)
+def _plan(body: Word) -> tuple[_Step, ...]:
+    """How an occurrence of ``body`` is matched once its first letter is
+    bound, worked out once per body: one step ``(eq, lo, hi)`` for each
+    later letter ``body[t]``.
+
+    The three are positions s < t in the body, read as the letters bound
+    to ``body[s]`` (see :func:`_complete`): ``eq`` is a position of the
+    same letter (-1 if ``body[t]`` is new), and otherwise the letter for
+    ``body[t]`` lies strictly between the letters at ``lo`` and ``hi``,
+    the nearest smaller and larger letters of ``body[:t]``.  Position
+    ``len(body)`` stands for a bound below every letter and
+    ``len(body) + 1`` for one above every letter.
+
+    >>> _plan((2, 3, 1))  # 1 lies below 2 and has nothing below it
+    ((-1, 0, 4), (-1, 3, 0))
+    >>> _plan((1, 2, 2, 1))
+    ((-1, 0, 5), (1, 0, 5), (0, 4, 1))
+    """
+    k = len(body)
+    steps = []
+    for t in range(1, k):
+        c = body[t]
+        below = [s for s in range(t) if body[s] < c]
+        above = [s for s in range(t) if body[s] > c]
+        steps.append((
+            body.index(c) if c in body[:t] else -1,
+            max(below, key=body.__getitem__, default=k),
+            min(above, key=body.__getitem__, default=k + 1)))
+    return tuple(steps)
+
+
+def _complete(x: Sequence[int], start: int, plan: tuple[_Step, ...], t: int,
+              bound: list[int | float], idx: list[int],
+              accept: Callable[[Word], object] | None) -> bool:
+    """Can the letters of ``x[start:]`` play the body's letters from
+    ``t + 1`` on, in an occurrence that ``accept`` takes (any one when
+    ``accept`` is None)?
+
+    ``bound[s]`` and ``idx[s]`` hold the letter and the position that play
+    ``body[s]`` for s <= t; the last two entries of ``bound`` are the
+    bounds below and above every letter (see :func:`_plan`)."""
+    if t == len(plan):
+        return accept is None or bool(accept(tuple(idx)))
+    eq, lo, hi = plan[t]
+    if eq < 0:
+        a = bound[lo]
+        b = bound[hi]
+    else:
+        a = bound[eq] - 1
+        b = a + 2
+    t += 1
+    for p in range(start, len(x) - len(plan) + t):
+        y = x[p]
+        if a < y < b:
+            bound[t] = y
+            idx[t] = p
+            if _complete(x, p + 1, plan, t, bound, idx, accept):
+                return True
+    return False
+
 
 def _search(x: Sequence[int], body: Word,
             accept: Callable[[Word], object] | None = None) -> bool:
@@ -307,61 +372,21 @@ def _search(x: Sequence[int], body: Word,
     takes (any one when ``accept`` is None).  Returns whether it stopped.
 
     The backtracking search behind every pattern query but the direct
-    scans (:func:`_direct_scan`): each fresh letter class is bounded once
-    per level by its nearest bound classes.  Letters are positive integers,
-    since 0 marks an unbound class.
+    scans (:func:`_direct_scan`): a loop over the positions of the first
+    letter, each completed by :func:`_complete` along the body's plan.
+    Letters are positive integers, since 0 is the bound below every letter.
     """
     _check_letters(x)
     k = len(body)
-    n = len(x)
     if k == 0:
         return accept is None or bool(accept(()))
-    if k > n:
-        return False
-    m = max(body)
-    assign = [0] * (m + 1)  # value bound to each letter class, 0 = unassigned
+    plan = _plan(tuple(body))
+    bound: list[int | float] = [0] * k + [0, _NO_BOUND]
     idx = [0] * k
-
-    # rec gets itself as an argument: a closure that names itself is a
-    # reference cycle, left for the garbage collector on every call.
-    def rec(rec: Callable[..., bool], start: int, t: int) -> bool:
-        if t == k:
-            return accept is None or bool(accept(tuple(idx)))
-        c = body[t]
-        stop = n - k + t + 1
-        a = assign[c]
-        if a:
-            for p in range(start, stop):
-                if x[p] == a:
-                    idx[t] = p
-                    if rec(rec, p + 1, t + 1):
-                        return True
-            return False
-        lo = 0
-        for d in range(c - 1, 0, -1):
-            if assign[d]:
-                lo = assign[d]
-                break
-        hi = _NO_BOUND
-        for d in range(c + 1, m + 1):
-            if assign[d]:
-                hi = assign[d]
-                break
-        for p in range(start, stop):
-            v = x[p]
-            if lo < v < hi:
-                assign[c] = v
-                idx[t] = p
-                if rec(rec, p + 1, t + 1):
-                    return True
-        assign[c] = 0
-        return False
-
-    first = body[0]
-    for p in range(n - k + 1):
-        assign[first] = x[p]
+    for p in range(len(x) - k + 1):
+        bound[0] = x[p]
         idx[0] = p
-        if rec(rec, p + 1, 1):
+        if _complete(x, p + 1, plan, 0, bound, idx, accept):
             return True
     return False
 

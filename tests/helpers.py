@@ -1,6 +1,8 @@
-"""Test helpers shared by several test modules: random domain words and
-the machines whose closed-form oracle is checked against brute force."""
+"""Test helpers shared by several test modules: random domain words, a
+naive containment check and the machines whose closed-form oracle is
+checked against brute force."""
 
+import itertools
 import random
 
 from hypothesis import strategies as st
@@ -29,6 +31,15 @@ def perm_word(rng: random.Random, n: int) -> tuple[int, ...]:
         top -= hi - lo
         w.extend(range(top + 1, top + hi - lo + 1))
     return tuple(w)
+
+
+def naive_contains(seq, body):
+    """Brute force: some subsequence of ``seq`` is order-isomorphic to
+    ``body``."""
+    return any(all((a < b) == (p < q) and (a == b) == (p == q)
+                   for (a, p), (b, q) in itertools.combinations(
+                       zip(sub, body), 2))
+               for sub in itertools.combinations(seq, len(body)))
 
 
 @st.composite

@@ -1,7 +1,10 @@
 """Unit tests for the bijection catalogue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import naive_contains
 from pamsort.bijections import (StoreMode, alpha_strip, av213_to_dyck,
                                 av321_to_rgfnr12321, beta_motzkin, delta,
                                 delta_inverse, dyck_to_av213, dyck_to_rgf1221,
@@ -9,7 +12,8 @@ from pamsort.bijections import (StoreMode, alpha_strip, av213_to_dyck,
                                 phi_add_max, rgf1221_to_dyck,
                                 rgfnr12321_to_av321, schroder_to_sort123,
                                 sort123_to_schroder)
-from pamsort.machine import MachineSpec, iter_domain, sortable_words
+from pamsort.machine import (MachineSpec, is_sortable, iter_domain,
+                             sortable_words)
 from pamsort.patterns import classical, contains
 from pamsort.paths_trees import format_path, iter_dyck
 from pamsort.words_core import Domain, is_member, parse_word
@@ -169,3 +173,119 @@ def test_delta_round_trip():
             assert not contains(S, p321)
             assert max(S) == max(R)
             assert delta_inverse(S) == R
+
+
+# Round trips on inputs of length 8-16, drawn from the side that is easy
+# to draw.  The input checks search RGFs for 12231, 1221 and 12321, and
+# delta searches for 321 or 231 after every swap: repeated letters at
+# lengths that the exhaustive tests above do not reach.
+
+@st.composite
+def dyck_steps(draw, min_n=8, max_n=16):
+    """The steps of a random Dyck path of semilength min_n..max_n."""
+    n = draw(st.integers(min_n, max_n))
+    steps: list[str] = []
+    ups = 0
+    while len(steps) < 2 * n:
+        height = 2 * ups - len(steps)
+        if ups < n and (height == 0 or draw(st.booleans())):
+            steps.append("U")
+            ups += 1
+        else:
+            steps.append("D")
+    return tuple(steps)
+
+
+def av321_from_peaks(steps):
+    """The 321-avoiding permutation whose left-to-right maxima sit at the
+    peaks of a Dyck path: a peak after u up steps and d down steps puts
+    the value u at position d + 1, and the other values fill the other
+    positions in increasing order."""
+    n = steps.count("U")
+    pi = [0] * n
+    ups = downs = 0
+    for i, s in enumerate(steps):
+        if s == "D":
+            downs += 1
+            continue
+        ups += 1
+        if i + 1 < len(steps) and steps[i + 1] == "D":
+            pi[downs] = ups
+    rest = iter(sorted(set(range(1, n + 1)) - set(pi)))
+    return tuple(v or next(rest) for v in pi)
+
+
+@st.composite
+def rgf_avoiding_12231(draw, min_n=8, max_n=16):
+    """A random RGF that avoids 12231.  In an RGF the first copy of a
+    letter comes before every larger letter, so an RGF contains 12231
+    iff some letter b occurs twice, then a larger letter, then a smaller
+    one.  Each letter is drawn at or above the largest such b so far."""
+    n = draw(st.integers(min_n, max_n))
+    w: list[int] = []
+    floor = 1
+    for _ in range(n):
+        v = draw(st.sampled_from(range(floor, max(w, default=0) + 2)))
+        floor = max([floor] + [b for b in set(w) if b < v and w.count(b) > 1])
+        w.append(v)
+    return tuple(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=dyck_steps())
+def test_dyck_av213_round_trip_on_long_paths(steps):
+    w = dyck_to_av213(steps)
+    assert is_member(w, Domain.PERM) and not naive_contains(w, (2, 1, 3))
+    assert av213_to_dyck(w).steps == steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=dyck_steps())
+def test_rgf1221_dyck_round_trip_on_long_paths(steps):
+    R = dyck_to_rgf1221(steps)
+    assert is_member(R, Domain.RGF) and not naive_contains(R, (1, 2, 2, 1))
+    assert rgf1221_to_dyck(R).steps == steps
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps=dyck_steps())
+def test_rgfnr12321_round_trip_on_long_words(steps):
+    pi = av321_from_peaks(steps)
+    assert is_member(pi, Domain.PERM) and not naive_contains(pi, (3, 2, 1))
+    R = av321_to_rgfnr12321(pi)
+    assert is_member(R, Domain.RGF)
+    assert not naive_contains(R, (1, 2, 3, 2, 1))
+    assert rgfnr12321_to_av321(R) == pi
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sort123_schroder_round_trip_on_long_paths(data):
+    n = data.draw(st.integers(8, 16))        # semilength n - 1
+    a = data.draw(st.integers(0, 3))
+    b = data.draw(st.integers(0, 3))
+    middle = data.draw(dyck_steps(n - 1 - a - b, n - 1 - a - b))
+    steps = ("H2",) * a + middle + ("H2",) * b
+    w = schroder_to_sort123(steps)
+    assert is_member(w, Domain.PERM) and len(w) == n
+    assert is_sortable(w, MachineSpec((classical((1, 2, 3)),)))
+    assert sort123_to_schroder(w).steps == steps
+
+
+@settings(max_examples=30, deadline=None)
+@given(R=rgf_avoiding_12231())
+def test_eta_round_trip_on_long_words(R):
+    assert not naive_contains(R, (1, 2, 2, 3, 1))
+    pi = eta_inverse(R)
+    assert is_member(pi, Domain.PERM)
+    assert is_sortable(pi, MachineSpec((classical((1, 3, 2)),)))
+    assert eta(pi) == R
+
+
+@settings(max_examples=60, deadline=None)
+@given(R=rgf_avoiding_12231())
+def test_delta_round_trip_on_long_words(R):
+    S = delta(R)
+    assert is_member(S, Domain.RGF) and not naive_contains(S, (3, 2, 1))
+    assert max(S) == max(R)
+    assert delta_inverse(S) == R

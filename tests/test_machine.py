@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import domain_words
+from helpers import domain_words, naive_contains
 from pamsort.enumeration import bell, fishburn, fubini
 from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, _must_pop, _walk,
                              encode_labeled_path, fertility, image_set,
                              is_sortable, iter_domain, machine_outputs,
                              machine_run, sigma_stack_output, sortable_count,
                              sortable_words, stack21_output)
-from pamsort.patterns import classical, contains
+from pamsort.patterns import (barred, classical, contains, mesh,
+                              occurrences_of)
 from pamsort.words_core import (Domain, identity, is_member, reverse,
                                 standardize)
 
@@ -69,12 +70,13 @@ def test_is_sortable_table_examples():
 
 
 def test_sortable_iff_out_avoids_231():
-    p231 = classical((2, 3, 1))
+    # is_sortable and contains share the one-pass 231 scan, so the 231
+    # check here is the naive one
     s = spec((1, 3, 2))
     for n in range(1, 7):
         for w in iter_domain(Domain.PERM, n):
             assert is_sortable(w, s) == \
-                (not contains(sigma_stack_output(w, s), p231))
+                (not naive_contains(sigma_stack_output(w, s), (2, 3, 1)))
 
 
 def test_trace_json_and_counts():
@@ -191,15 +193,6 @@ def test_reverse_path_law_sigma_11():
 
 # Naive references for the prefix-tree walker; they use nothing from
 # pamsort.machine.
-
-def naive_contains(seq, body):
-    """Brute force: some subsequence of ``seq`` is order-isomorphic to
-    ``body``."""
-    return any(all((a < b) == (p < q) and (a == b) == (p == q)
-                   for (a, p), (b, q) in itertools.combinations(
-                       zip(sub, body), 2))
-               for sub in itertools.combinations(seq, len(body)))
-
 
 def naive_stack_run(w, bodies):
     """Right-greedy Sigma-stack: pop while the stack read top to bottom,
@@ -343,9 +336,12 @@ def test_machine_entry_rejects_letters_below_one():
 
 def test_walks_leave_no_reference_cycles():
     # a walk's pop memo must be freed when the walk ends, not at the next
-    # full garbage collection, and a run on one word (with the pop
-    # kernel's per-body plans) must leave nothing for the collector either
+    # full garbage collection, and a run on one word (with the per-body
+    # occurrence plans) or a pattern search with a predicate must leave
+    # nothing for the collector either
     s = spec((1, 3, 2, 4), domain=Domain.CAYLEY)
+    shaded = mesh((1, 3, 2), ((1, 1),))
+    bar = barred((3, 5, 2, 4, 1), (2,))
     gc.collect()
     gc.disable()
     try:
@@ -356,6 +352,10 @@ def test_walks_leave_no_reference_cycles():
         sigma_stack_output((2, 4, 1, 3, 3), s)
         is_sortable((3, 1, 4, 2, 2), s)
         machine_run((1, 3, 2, 4, 1), s, with_trace=True)
+        contains((2, 5, 3, 4, 1), shaded)
+        occurrences_of((2, 5, 3, 4, 1), shaded)
+        contains((3, 2, 4, 1, 5), bar)
+        occurrences_of((3, 2, 4, 1, 5), bar)
         assert gc.collect() == 0
     finally:
         gc.enable()
