@@ -98,18 +98,17 @@ class MachineTrace:
 
 
 def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
-    """How many letters to pop from the top before ``x`` is pushed (0:
-    push at once).
+    """How many letters to pop from the top of ``stack`` (stored top-first)
+    before ``x`` is pushed (0: push at once).
 
     The stack avoids Sigma before each push (see the module docstring), so
     only occurrences in which ``x`` plays the first letter matter, and one
     of them survives k pops exactly when its second letter lies deeper
-    than k.  So in ``x`` followed by the stack read top-down, the second
-    positions are tried deepest first, and the first one that stands to
-    ``x`` as ``body[1]`` to ``body[0]`` and has letters below it that
-    complete the body along its plan is the number of pops.
+    than k.  So the second positions of the stack are tried deepest first,
+    and the first one that stands to ``x`` as ``body[1]`` to ``body[0]``
+    and has letters below it that complete the body along its plan is
+    the last letter to pop.
     """
-    word = (x,) + stack[::-1]
     pops = 0
     for body in bodies:
         plan = _plan(body)
@@ -118,12 +117,12 @@ def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
         idx = [0] * k
         eq, lo, hi = plan[0]
         a, b = (x - 1, x + 1) if eq == 0 else (bound[lo], bound[hi])
-        for p in range(len(word) - k + 1, pops, -1):
-            y = word[p]
+        for p in range(len(stack) - k + 1, pops - 1, -1):
+            y = stack[p]
             if a < y < b:
                 bound[1] = y
-                if _complete(word, p + 1, plan, 1, bound, idx, None):
-                    pops = p
+                if _complete(stack, p + 1, plan, 1, bound, idx, None):
+                    pops = p + 1
                     break
     return pops
 
@@ -131,9 +130,14 @@ def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
 def _push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
           ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Push ``x`` right-greedily: pop the top ``_must_pop`` letters, then
-    push.  Returns (new stack, popped letters in pop order)."""
-    cut = len(stack) - _must_pop(stack, x, bodies)
-    return stack[:cut] + (x,), stack[cut:][::-1]
+    push.  Returns (new stack, popped letters): stacks are stored top-first,
+    so the popped letters are the front of the old stack, in pop order.
+
+    >>> _push((4, 3, 1), 2, ((2, 3, 1),))
+    ((2, 1), (4, 3))
+    """
+    cut = _must_pop(stack, x, bodies)
+    return (x,) + stack[cut:], stack[:cut]
 
 
 def sigma_stack_output(w: Sequence[int], spec: MachineSpec,
@@ -151,10 +155,9 @@ def sigma_stack_output(w: Sequence[int], spec: MachineSpec,
         if trace is not None:
             trace.steps.extend((1, "pop", v) for v in popped)
             trace.steps.append((1, "push", x))
-    drained = stack[::-1]
-    out.extend(drained)
+    out.extend(stack)
     if trace is not None:
-        trace.steps.extend((1, "pop", v) for v in drained)
+        trace.steps.extend((1, "pop", v) for v in stack)
     return tuple(out)
 
 
@@ -294,35 +297,32 @@ def _walk(d: Domain, n: int, state: _S,
     the state after appending ``v``, or None to prune that subtree.  Without
     ``step`` the state is passed down unchanged.
     """
-    prefix: list[int] = []
-    used: dict[int, int] = {}
+    return _descend(d, n, step, [], {}, state, (0, 0))
 
-    # rec gets itself as an argument: a closure that names itself is a
-    # reference cycle, which would keep the walk's state (the memo of
-    # ``_walk_memo`` in ``step``) alive until a full garbage collection.
-    def rec(rec: Callable[..., Iterator[tuple[Word, _S]]], state: _S,
-            shape: tuple[int, int]) -> Iterator[tuple[Word, _S]]:
-        if len(prefix) == n:
-            yield tuple(prefix), state
-            return
-        for v in _extensions(d, n, prefix, used, shape):
-            child = state
-            if step is not None:
-                child = step(state, v)
-                if child is None:
-                    continue
-            new_shape = (max(shape[0], v),
-                         shape[1] + (1 if prefix and prefix[-1] < v else 0))
-            prefix.append(v)
-            used[v] = used.get(v, 0) + 1
-            yield from rec(rec, child, new_shape)
-            prefix.pop()
-            if used[v] == 1:
-                del used[v]
-            else:
-                used[v] -= 1
 
-    return rec(rec, state, (0, 0))
+def _descend(d: Domain, n: int, step: Callable[[_S, int], _S | None] | None,
+             prefix: list[int], used: dict[int, int], state: _S,
+             shape: tuple[int, int]) -> Iterator[tuple[Word, _S]]:
+    """The leaves of :func:`_walk` below ``prefix``."""
+    if len(prefix) == n:
+        yield tuple(prefix), state
+        return
+    for v in _extensions(d, n, prefix, used, shape):
+        child = state
+        if step is not None:
+            child = step(state, v)
+            if child is None:
+                continue
+        new_shape = (max(shape[0], v),
+                     shape[1] + (1 if prefix and prefix[-1] < v else 0))
+        prefix.append(v)
+        used[v] = used.get(v, 0) + 1
+        yield from _descend(d, n, step, prefix, used, child, new_shape)
+        prefix.pop()
+        if used[v] == 1:
+            del used[v]
+        else:
+            used[v] -= 1
 
 
 def iter_domain(d: Domain, n: int, max_n: int | None = None) -> Iterator[Word]:
@@ -342,9 +342,9 @@ def iter_domain(d: Domain, n: int, max_n: int | None = None) -> Iterator[Word]:
 #
 # The first stack pops from the top, so the letters on it leave in top-down
 # order after everything already emitted: "output so far + stack read
-# top-down" (the drain) is a subsequence of the final output.  The walks
-# that want a constrained output prune on the drain, not only on the
-# emitted letters.
+# top-down" (the drain, ``out + stack`` for a top-first stack) is a
+# subsequence of the final output.  The walks that want a constrained
+# output prune on the drain, not only on the emitted letters.
 
 def _drain_push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
                 ) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
@@ -354,7 +354,7 @@ def _drain_push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
     ``x`` in the rest of the stack read top-down)."""
     stack, popped = _push(stack, x, bodies)
     above = split = False
-    for y in reversed(stack):
+    for y in stack:
         if y > x:
             above = True
         elif y < x and above:
@@ -439,7 +439,7 @@ def machine_outputs(spec: MachineSpec, n: int,
         stack, popped = push(stack, v)
         return stack, out + popped
 
-    return ((w, out + stack[::-1])
+    return ((w, out + stack)
             for w, (stack, out) in _walk(spec.domain, n, ((), ()), step))
 
 
@@ -467,7 +467,7 @@ def fertility(w: Sequence[int], spec: MachineSpec,
         if w[k:end] != popped:
             return None
         rest = islice(w, end, None)
-        if not all(y in rest for y in reversed(stack)):
+        if not all(y in rest for y in stack):
             return None
         return stack, end
 
@@ -486,8 +486,7 @@ def image_set(spec: MachineSpec, n: int, sorted_only: bool = False,
     if not sorted_only:
         return {o for _, o in machine_outputs(spec, n, max_n)}
     _check_guard(spec.domain, n, max_n)
-    return {out + stack[::-1]
-            for _, (stack, _, out) in _sortable_walk(spec, n)}
+    return {out + stack for _, (stack, _, out) in _sortable_walk(spec, n)}
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from .paths_trees import catalan
 from .patterns import (_MESH_3241, NAMED, Pattern, PatternKind, _direct_scan,
                        classical, contains, contains_classical,
                        format_pattern)
-from .words_core import (Domain, SumMode, Which, Word, combine, decreasing,
+from .words_core import (Domain, Which, Word, decreasing, direct_sum,
                          format_word, is_member, ltr_decompose, reverse,
-                         standardize)
+                         skew_sum, standardize)
 
 
 class FallbackRequired(Exception):
@@ -229,20 +229,19 @@ _PAIR_ORACLES: dict[tuple[Word, ...], Callable[[Word], bool]] = {
 def oracle_for(spec: MachineSpec) -> Callable[[Word], bool]:
     """Closed-form sortability predicate for the machine, if one is known.
     The predicate takes words of the machine's domain and is built once
-    per spec.
+    per domain and set of bodies.
 
     Raises :class:`FallbackRequired` for the open cases, on every call.
     """
-    pred = _compiled_oracle(spec)
+    pred = _compiled_oracle(spec.domain, tuple(sorted(spec.bodies)))
     if pred is None:
         raise FallbackRequired(f"open case: {spec}")
     return pred
 
 
 @lru_cache(maxsize=256)
-def _compiled_oracle(spec: MachineSpec) -> Callable[[Word], bool] | None:
-    d = spec.domain
-    bodies = tuple(sorted(spec.bodies))
+def _compiled_oracle(d: Domain, bodies: tuple[Word, ...]
+                     ) -> Callable[[Word], bool] | None:
     if d is Domain.PERM and bodies == ((1, 2, 3),):
         return sortable_123
     if len(bodies) == 1:
@@ -424,11 +423,11 @@ def is_fully_bijective_cayley(sigma: Sequence[int]) -> bool:
 
 def _family_member_123(h: int, k: int, t: int) -> Word:
     """The word D_h (-) (D_{k-1} (+) D_{t+1}) of length h + k + t."""
-    inner = combine(decreasing(k - 1), decreasing(t + 1), SumMode.DIRECT) \
+    inner = direct_sum(decreasing(k - 1), decreasing(t + 1)) \
         if k - 1 > 0 else decreasing(t + 1)
     if h == 0:
         return inner
-    return combine(decreasing(h), inner, SumMode.SKEW)
+    return skew_sum(decreasing(h), inner)
 
 
 def sorted_set_123(n: int) -> set[Word]:

@@ -37,11 +37,6 @@ class Which(enum.Enum):
     MAX = "max"
 
 
-class SumMode(enum.Enum):
-    DIRECT = "direct"
-    SKEW = "skew"
-
-
 def _check_letters(w: Sequence[int]) -> None:
     """Raise ``ValueError`` unless every letter of ``w`` is at least 1."""
     if w and min(w) < 1:
@@ -301,22 +296,26 @@ def inflate(w: Word, i: int, k: int) -> Word:
     return tuple(out)
 
 
-def combine(x: Word, y: Word, mode: SumMode) -> Word:
-    """Direct sum x (+) y or skew sum x (-) y of two permutations."""
-    for w in (x, y):
-        if not is_member(w, Domain.PERM):
-            raise ValueError(f"combine requires permutations: {w}")
-    if mode is SumMode.DIRECT:
-        return x + tuple(v + len(x) for v in y)
-    return tuple(v + len(y) for v in x) + y
-
-
 def direct_sum(x: Word, y: Word) -> Word:
-    return combine(x, y, SumMode.DIRECT)
+    """Direct sum x (+) y of two permutations: ``y`` shifted above ``x``.
+
+    >>> direct_sum((2, 1), (1, 3, 2))
+    (2, 1, 3, 5, 4)
+    """
+    if not (is_member(x, Domain.PERM) and is_member(y, Domain.PERM)):
+        raise ValueError(f"direct_sum requires permutations: {x}, {y}")
+    return x + tuple(v + len(x) for v in y)
 
 
 def skew_sum(x: Word, y: Word) -> Word:
-    return combine(x, y, SumMode.SKEW)
+    """Skew sum x (-) y of two permutations: ``x`` shifted above ``y``.
+
+    >>> skew_sum((2, 1), (1, 3, 2))
+    (5, 4, 1, 3, 2)
+    """
+    if not (is_member(x, Domain.PERM) and is_member(y, Domain.PERM)):
+        raise ValueError(f"skew_sum requires permutations: {x}, {y}")
+    return tuple(v + len(y) for v in x) + y
 
 
 def inverse(w: Word) -> Word:

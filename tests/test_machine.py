@@ -319,7 +319,7 @@ def test_pop_depth_matches_naive(d, data):
     bodies = tuple(data.draw(st.lists(SIGMA_BODIES, min_size=1, max_size=2)))
     for i, x in enumerate(w):
         _, stack = naive_stack_run(w[:i], bodies)
-        assert _must_pop(tuple(stack), x, bodies) == \
+        assert _must_pop(tuple(stack[::-1]), x, bodies) == \
             naive_pop_count(stack, x, bodies), (stack, x)
 
 
