@@ -16,24 +16,37 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .machine import MachineSpec
 from .oracles import _strip_anchored_max, oracle_for, sortable_123
-from .paths_trees import LatticePath, PathKind, dyck_path, schroder_path
-from .patterns import classical, contains, contains_classical, occurrences_of
-from .words_core import (Domain, Which, Word, inflate, is_member,
-                         ltr_decompose, ltr_minima, standardize)
+from .paths_trees import (LatticePath, PathKind, dyck_path, matching,
+                          schroder_path)
+from .patterns import classical, contains_classical, occurrences_of
+from .words_core import (Domain, Word, format_word, inflate, is_member,
+                         ltr_minima, standardize)
 
 Steps = tuple[str, ...]
 
 
-def _dyck_steps(p: LatticePath | str | Sequence[str]) -> Steps:
+def _dyck(p: LatticePath | str | Sequence[str]) -> LatticePath:
     if not isinstance(p, LatticePath):
         p = dyck_path(p)
     if p.kind is not PathKind.DYCK:
         raise ValueError("expected a Dyck path")
-    return p.steps
+    return p
+
+
+def _rgf(R: Sequence[int], avoid: Word = ()) -> Word:
+    """``R`` as a tuple, checked to be an RGF that avoids the classical
+    pattern ``avoid`` (none if empty)."""
+    R = tuple(R)
+    if not is_member(R, Domain.RGF):
+        raise ValueError(f"expected an RGF: {R}")
+    if avoid and contains_classical(R, avoid):
+        raise ValueError(f"RGF contains {format_word(avoid)}: {R}")
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -42,43 +55,32 @@ def _dyck_steps(p: LatticePath | str | Sequence[str]) -> Steps:
 def dyck_to_av213(p: LatticePath | str | Sequence[str]) -> Word:
     """Label the down steps from right to left with 1..n; each up step
     inherits the label of its matching down step; read the up labels."""
-    steps = _dyck_steps(p)
-    label: dict[int, int] = {}
-    next_label = 1
-    for i in range(len(steps) - 1, -1, -1):
-        if steps[i] == "D":
-            label[i] = next_label
-            next_label += 1
-    out: list[int] = []
-    stack: list[int] = []
-    up_label: dict[int, int] = {}
-    for i, s in enumerate(steps):
-        if s == "U":
-            stack.append(i)
-        else:
-            up_label[stack.pop()] = label[i]
-    for i, s in enumerate(steps):
-        if s == "U":
-            out.append(up_label[i])
-    return tuple(out)
+    p = _dyck(p)
+    # down steps up to and including each index
+    downs = list(accumulate(s == "D" for s in p.steps))
+    return tuple(len(p) // 2 - downs[d] + 1 for _, d in matching(p))
 
 
 def av213_to_dyck(pi: Sequence[int]) -> LatticePath:
-    """Inverse of :func:`dyck_to_av213`."""
+    """Inverse of :func:`dyck_to_av213`: the one-stack run that pushes
+    each letter (U) and then pops while the top is the largest letter not
+    yet popped (D).  A letter left on the stack marks a 213."""
     pi = tuple(pi)
-    if not is_member(pi, Domain.PERM) or contains_classical(pi, (2, 1, 3)):
+    if not is_member(pi, Domain.PERM):
         raise ValueError(f"not a 213-avoiding permutation: {pi}")
-
-    def rec(w: Word) -> list[str]:
-        if not w:
-            return []
-        b = w[0] - 1
-        mid, tail = w[1:len(w) - b], w[len(w) - b:]
-        if sorted(tail) != list(range(1, b + 1)) or any(v <= w[0] for v in mid):
-            raise ValueError(f"not in the image of the labeling map: {pi}")
-        return ["U"] + rec(standardize(mid)) + ["D"] + rec(tail)
-
-    return dyck_path(rec(pi))
+    steps: list[str] = []
+    stack: list[int] = []
+    top = len(pi)
+    for v in pi:
+        steps.append("U")
+        stack.append(v)
+        while stack and stack[-1] == top:
+            stack.pop()
+            steps.append("D")
+            top -= 1
+    if stack:
+        raise ValueError(f"not a 213-avoiding permutation: {pi}")
+    return dyck_path(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -150,47 +152,23 @@ def schroder_to_sort123(p: LatticePath | str | Sequence[str]) -> Word:
 # ---------------------------------------------------------------------------
 # eta: 132-sortable permutations <-> RGFs avoiding 12231
 
-def _strips(pi: Word) -> list[tuple[int, int]]:
-    """Half-open value intervals [m_j, m_{j-1}) of the horizontal strips,
-    indexed from 1 by the ltr minima of pi."""
-    mins = ltr_minima(pi)
-    out: list[tuple[int, int]] = []
-    prev = max(pi) + 1
-    for m in mins:
-        out.append((m, prev))
-        prev = m
-    return out
-
-
-def _strip_index(strips: list[tuple[int, int]], v: int) -> int:
-    for j, (lo, hi) in enumerate(strips, start=1):
-        if lo <= v < hi:
-            return j
-    raise AssertionError("value outside all strips")
-
-
 def eta(pi: Sequence[int]) -> Word:
     """Record, for each element, the index of its horizontal strip (the
-    value interval between consecutive ltr minima)."""
+    value interval between consecutive ltr minima): 1 plus the number of
+    ltr minima above it."""
     w = tuple(pi)
     if not is_member(w, Domain.PERM):
         raise ValueError(f"expected a permutation: {w}")
     if w and not oracle_for(MachineSpec((classical((1, 3, 2)),)))(w):
         raise ValueError(f"{w} is not 132-sortable")
-    if not w:
-        return ()
-    strips = _strips(w)
-    return tuple(_strip_index(strips, v) for v in w)
+    mins = ltr_minima(w)
+    return tuple(1 + sum(m > v for m in mins) for v in w)
 
 
 def eta_inverse(R: Sequence[int]) -> Word:
     """Rebuild the 132-sortable permutation from its strip word by the
     left-to-right insertion rules."""
-    R = tuple(R)
-    if not is_member(R, Domain.RGF):
-        raise ValueError(f"expected an RGF: {R}")
-    if contains_classical(R, (1, 2, 2, 3, 1)):
-        raise ValueError(f"RGF contains 12231: {R}")
+    R = _rgf(R, (1, 2, 2, 3, 1))
     pi: list[int] = []
     cur_max = 0
 
@@ -205,17 +183,13 @@ def eta_inverse(R: Sequence[int]) -> Word:
             cur_max += 1
             shift_append(1)
             continue
-        word_now = tuple(pi)
-        strips = _strips(word_now)
-        m_j = strips[j - 1][0]
-        dec = ltr_decompose(word_now, Which.MIN)
-        last_block = dec.blocks[-1]
-        C = [v for v in last_block if strips[j - 1][0] < v < strips[j - 1][1]]
-        if not C:
-            shift_append(m_j + 1)
-            continue
-        ell = _strip_index(strips, word_now[-1])
-        if ell > j:
+        # strip j is [m_j, m_{j-1}); the last block follows the letter 1
+        mins = ltr_minima(pi)
+        m_j = mins[j - 1]
+        hi = mins[j - 2] if j > 1 else len(pi) + 1
+        C = [v for v in pi[pi.index(1) + 1:] if m_j < v < hi]
+        # the last letter lies in a strip below strip j when it is below m_j
+        if not C or pi[-1] < m_j:
             shift_append(m_j + 1)
         else:
             shift_append(C[-1] + 1)
@@ -236,11 +210,7 @@ def _rgf1221_stats(prefix: Word) -> tuple[int, int]:
 def rgf1221_to_dyck(R: Sequence[int]) -> LatticePath:
     """Grow a Dyck path letter by letter: appending j inserts a peak into
     the last descending run at the slot determined by j."""
-    R = tuple(R)
-    if not is_member(R, Domain.RGF):
-        raise ValueError(f"expected an RGF: {R}")
-    if contains_classical(R, (1, 2, 2, 1)):
-        raise ValueError(f"RGF contains 1221: {R}")
+    R = _rgf(R, (1, 2, 2, 1))
     if not R:
         return dyck_path(())
     steps = ["U", "D"]
@@ -261,7 +231,7 @@ def rgf1221_to_dyck(R: Sequence[int]) -> LatticePath:
 def dyck_to_rgf1221(p: LatticePath | str | Sequence[str]) -> Word:
     """Inverse of :func:`rgf1221_to_dyck`: peel the rightmost peak down
     to UD, then replay the insertions as letters."""
-    steps = list(_dyck_steps(p))
+    steps = list(_dyck(p).steps)
     if not steps:
         return ()
     tail_counts: list[int] = []
@@ -385,9 +355,7 @@ def beta_motzkin(p: LabeledMotzkinPath | str | Sequence[str],
 def alpha_strip(R: Sequence[int]) -> Word:
     """Remove the repeated ltr-maxima: entries equal to the running
     maximum that are not strict new maxima."""
-    R = tuple(R)
-    if not is_member(R, Domain.RGF):
-        raise ValueError(f"expected an RGF: {R}")
+    R = _rgf(R)
     out: list[int] = []
     m = 0
     for v in R:
@@ -416,11 +384,7 @@ def rgfnr12321_to_av321(R: Sequence[int]) -> Word:
     """Non-strict positions receive the values s_1 = r_{i_1},
     s_j = s_{j-1} + (r_{i_j} - r_{i_{j-1}}) + 1; strict ltr-max positions
     receive the remaining values in increasing order."""
-    R = tuple(R)
-    if not is_member(R, Domain.RGF):
-        raise ValueError(f"expected an RGF: {R}")
-    if contains_classical(R, (1, 2, 3, 2, 1)):
-        raise ValueError(f"RGF contains 12321: {R}")
+    R = _rgf(R, (1, 2, 3, 2, 1))
     if not R:
         return ()
     strict, other = _split_strict_max_positions(R)
@@ -478,11 +442,7 @@ def av321_to_rgfnr12321(pi: Sequence[int]) -> Word:
 def delta(R: Sequence[int]) -> Word:
     """Repeatedly swap the first two letters of the lexicographically
     rightmost occurrence of 321 until the word avoids 321."""
-    R = tuple(R)
-    if not is_member(R, Domain.RGF):
-        raise ValueError(f"expected an RGF: {R}")
-    if contains_classical(R, (1, 2, 2, 3, 1)):
-        raise ValueError(f"RGF contains 12231: {R}")
+    R = _rgf(R, (1, 2, 2, 3, 1))
     w = list(R)
     p321 = classical((3, 2, 1))
     for _ in range(len(R) ** 3 + 1):
@@ -498,11 +458,7 @@ def delta_inverse(R: Sequence[int]) -> Word:
     """Repeatedly swap the first two letters of the leftmost occurrence
     of 231 whose first letter is a repeated value (not the leftmost
     occurrence of that value)."""
-    R = tuple(R)
-    if not is_member(R, Domain.RGF):
-        raise ValueError(f"expected an RGF: {R}")
-    if contains_classical(R, (1, 2, 3, 2, 1)):
-        raise ValueError(f"RGF contains 12321: {R}")
+    R = _rgf(R, (1, 2, 3, 2, 1))
     w = list(R)
     p231 = classical((2, 3, 1))
     for _ in range(len(R) ** 3 + 1):

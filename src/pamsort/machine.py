@@ -515,13 +515,7 @@ def encode_labeled_path(w: Sequence[int], spec: MachineSpec) -> LabeledDyckPath:
     """The labeled Dyck path of a Sigma-stack run: an up step labeled ``a``
     per push, a down step labeled ``a`` per pop.  Up labels read the input,
     down labels read the first-stack output."""
-    _, trace = machine_run(w, spec, with_trace=True)
-    assert trace is not None
-    steps: list[str] = []
-    labels: list[int] = []
-    for stk, op, v in trace.steps:
-        if stk != 1:
-            continue
-        steps.append("U" if op == "push" else "D")
-        labels.append(v)
-    return LabeledDyckPath(tuple(steps), tuple(labels))
+    trace = MachineTrace()
+    sigma_stack_output(w, spec, trace)
+    steps = tuple("U" if op == "push" else "D" for _, op, _ in trace.steps)
+    return LabeledDyckPath(steps, tuple(v for _, _, v in trace.steps))

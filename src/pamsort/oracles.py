@@ -140,27 +140,17 @@ def _sortable_123_312(w: Word) -> bool:
         return False
     if any(contains_classical(b, (2, 1, 3)) for b in B):
         return False
-    # no 2-31 in the output: every later block is bounded between two
-    # earlier elements (no earlier element splits its values)
+    # no 2-31 in the output and no 2-3-1 across three blocks: no letter of
+    # B_i lies strictly between min(B_k) and max(B_j), for i < j <= k
     for i in range(t):
-        for j in range(i + 1, t):
-            if not B[j]:
+        hi = 0  # the largest letter of B_{i+1} .. B_k
+        for k in range(i + 1, t):
+            if not B[k]:
                 continue
-            lo, hi = min(B[j]), max(B[j])
+            hi = max(hi, max(B[k]))
+            lo = min(B[k])
             if any(lo < x < hi for x in B[i]):
                 return False
-    # no 2-3-1 across three distinct blocks
-    for i in range(t):
-        for j in range(i + 1, t):
-            if not B[j]:
-                continue
-            hi = max(B[j])
-            for k2 in range(j + 1, t):
-                if not B[k2]:
-                    continue
-                lo = min(B[k2])
-                if any(lo < x < hi for x in B[i]):
-                    return False
     return True
 
 

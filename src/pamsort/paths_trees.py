@@ -160,65 +160,46 @@ def first_return_decomposition(p: LatticePath) -> tuple[LatticePath, LatticePath
 # ---------------------------------------------------------------------------
 # Direct enumeration
 
+# Per path kind: the steps in the order the walk tries them, and the steps
+# that count toward the size n.
+_WALKS = {
+    PathKind.DYCK: (("U", "D"), frozenset({"U"})),
+    PathKind.MOTZKIN: (("U", "H", "D"), frozenset({"U", "H", "D"})),
+    PathKind.SCHRODER: (("U", "H2", "D"), frozenset({"U", "H2"})),
+}
+
+
+def _grow(kind: PathKind, n: int, prefix: list[str], size: int,
+          h: int) -> Iterator[LatticePath]:
+    """The paths of ``kind`` and size ``n`` that extend ``prefix``, which
+    has ``size`` counted steps and ends at height ``h``."""
+    if size == n and h == 0:
+        yield LatticePath(kind, tuple(prefix))
+        return
+    order, counted = _WALKS[kind]
+    if "D" in counted and h > n - size:
+        return  # the steps left cannot come back down
+    for s in order:
+        if (s in counted and size >= n) or (s == "D" and h == 0):
+            continue
+        prefix.append(s)
+        yield from _grow(kind, n, prefix, size + (s in counted), h + _DELTA[s])
+        prefix.pop()
+
+
 def iter_dyck(n: int) -> Iterator[LatticePath]:
     """All Dyck paths of semilength n."""
-    def rec(prefix: list[str], ups: int, h: int) -> Iterator[Steps]:
-        if len(prefix) == 2 * n:
-            yield tuple(prefix)
-            return
-        if ups < n:
-            prefix.append("U")
-            yield from rec(prefix, ups + 1, h + 1)
-            prefix.pop()
-        if h > 0:
-            prefix.append("D")
-            yield from rec(prefix, ups, h - 1)
-            prefix.pop()
-
-    for steps in rec([], 0, 0):
-        yield LatticePath(PathKind.DYCK, steps)
+    return _grow(PathKind.DYCK, n, [], 0, 0)
 
 
 def iter_motzkin(n: int) -> Iterator[LatticePath]:
     """All Motzkin paths of length n."""
-    def rec(prefix: list[str], h: int) -> Iterator[Steps]:
-        k = len(prefix)
-        if k == n:
-            if h == 0:
-                yield tuple(prefix)
-            return
-        if h > n - k:  # cannot come back down
-            return
-        for s in ("U", "H", "D"):
-            if s == "D" and h == 0:
-                continue
-            prefix.append(s)
-            yield from rec(prefix, h + _DELTA[s])
-            prefix.pop()
-
-    for steps in rec([], 0):
-        yield LatticePath(PathKind.MOTZKIN, steps)
+    return _grow(PathKind.MOTZKIN, n, [], 0, 0)
 
 
 def iter_schroder(n: int) -> Iterator[LatticePath]:
     """All Schroeder paths of semilength n (U-steps plus H2-steps = n)."""
-    def rec(prefix: list[str], weight: int, h: int) -> Iterator[Steps]:
-        if weight == n and h == 0:
-            yield tuple(prefix)
-        if weight >= n and h == 0:
-            return
-        if weight < n:
-            for s in ("U", "H2"):
-                prefix.append(s)
-                yield from rec(prefix, weight + 1, h + _DELTA[s])
-                prefix.pop()
-        if h > 0:
-            prefix.append("D")
-            yield from rec(prefix, weight, h - 1)
-            prefix.pop()
-
-    for steps in rec([], 0, 0):
-        yield LatticePath(PathKind.SCHRODER, steps)
+    return _grow(PathKind.SCHRODER, n, [], 0, 0)
 
 
 def catalan(n: int) -> int:

@@ -654,23 +654,14 @@ def _bivincular_ok(x: Sequence[int], p: Pattern, occ: Word) -> bool:
     return True
 
 
-def _mesh_ok(x: Sequence[int], p: Pattern, occ: Word) -> bool:
-    n = len(x)
-    pos = [0] + [i + 1 for i in occ] + [n + 1]
-    vals = [0] + sorted(x[i] for i in occ) + [max(x) + 1 if x else 1]
-    for a, b in p.boxes:
-        for q in range(pos[a] + 1, pos[a + 1]):
-            if vals[b] < x[q - 1] < vals[b + 1]:
-                return False
-    return True
-
-
-def _cayleymesh_ok(x: Sequence[int], p: Pattern, occ: Word) -> bool:
+def _shading_ok(x: Sequence[int], regions: Iterable[Region],
+                occ: Word) -> bool:
+    """Does the occurrence ``occ`` leave every Cayley-mesh region empty?"""
     n = len(x)
     pos = [0] + [i + 1 for i in occ] + [n + 1]
     levels = sorted(set(x[i] for i in occ))  # v_1 < ... < v_m
     m = len(levels)
-    for col, (rk, lvl) in p.regions:
+    for col, (rk, lvl) in regions:
         lo_pos, hi_pos = pos[col], pos[col + 1]
         for q in range(lo_pos + 1, hi_pos):
             v = x[q - 1]
@@ -683,11 +674,6 @@ def _cayleymesh_ok(x: Sequence[int], p: Pattern, occ: Word) -> bool:
                 if v > lo and (hi is None or v < hi):
                     return False
     return True
-
-
-_OCCURRENCE_CHECKS = {PatternKind.BIVINCULAR: _bivincular_ok,
-                      PatternKind.MESH: _mesh_ok,
-                      PatternKind.CAYLEYMESH: _cayleymesh_ok}
 
 
 def _search_terms(w: Word, p: Pattern
@@ -707,10 +693,17 @@ def _search_terms(w: Word, p: Pattern
                 lambda occ: extendable.add(tuple(occ[i] for i in free)))
         reduct = standardize(tuple(p.body[i] for i in free))
         return reduct, lambda occ: occ not in extendable
-    check = _OCCURRENCE_CHECKS.get(p.kind)
-    if check is None:
+    if p.kind is PatternKind.BIVINCULAR:
+        return p.body, lambda occ: _bivincular_ok(w, p, occ)
+    if p.kind is PatternKind.MESH:
+        # a mesh body is a permutation, so box (a, b) is the gap region
+        # (a, (GAP, b)), with the open levels below and above the word
+        regions: Iterable[Region] = [(a, (GAP, b)) for a, b in p.boxes]
+    elif p.kind is PatternKind.CAYLEYMESH:
+        regions = p.regions
+    else:
         return p.body, None
-    return p.body, lambda occ: check(w, p, occ)
+    return p.body, lambda occ: _shading_ok(w, regions, occ)
 
 
 def occurrences_of(w: Sequence[int], p: Pattern) -> list[Word]:

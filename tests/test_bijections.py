@@ -99,6 +99,33 @@ def test_eta_rejects_non_sortable():
         eta_inverse((1, 0))
 
 
+def test_pattern_checks_reject_exactly_the_containing_inputs():
+    # each map rejects an input, naming the pattern, exactly when the naive
+    # check finds the pattern in it; rgfnr12321_to_av321 also rejects some
+    # 12321-avoiding RGFs that lie outside its domain
+    cases = [
+        (Domain.PERM, av213_to_dyck, (2, 1, 3), "not a 213-avoiding"),
+        (Domain.RGF, eta_inverse, (1, 2, 2, 3, 1), "RGF contains 12231"),
+        (Domain.RGF, delta, (1, 2, 2, 3, 1), "RGF contains 12231"),
+        (Domain.RGF, delta_inverse, (1, 2, 3, 2, 1), "RGF contains 12321"),
+        (Domain.RGF, rgfnr12321_to_av321, (1, 2, 3, 2, 1),
+         "RGF contains 12321"),
+        (Domain.RGF, rgf1221_to_dyck, (1, 2, 2, 1), "RGF contains 1221"),
+    ]
+    for d, f, body, message in cases:
+        for n in range(8):
+            for w in iter_domain(d, n):
+                if naive_contains(w, body):
+                    with pytest.raises(ValueError, match=message):
+                        f(w)
+                    continue
+                try:
+                    f(w)
+                except ValueError as e:
+                    assert f is rgfnr12321_to_av321, (f, w)
+                    assert "outside the bijection's domain" in str(e), w
+
+
 def test_rgf1221_dyck_round_trip():
     from pamsort.paths_trees import double_rises
     p1221 = classical((1, 2, 2, 1))

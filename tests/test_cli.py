@@ -94,6 +94,7 @@ def test_bijection_round_trip_via_cli():
     path = r.stdout.strip()
     r2 = run("bijection", "dyck-to-av213", path)
     assert r2.stdout.strip() == "25341"
+    assert run("bijection", "av213-to-dyck", "213").exit_code == 1
 
 
 def test_sort_and_trace():

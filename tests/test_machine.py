@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import domain_words, naive_contains
+from pamsort.bijections import av213_to_dyck
 from pamsort.enumeration import bell, fishburn, fubini
 from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, _must_pop, _walk,
                              encode_labeled_path, fertility, image_set,
                              is_sortable, iter_domain, machine_outputs,
                              machine_run, sigma_stack_output, sortable_count,
                              sortable_words, stack21_output)
+from pamsort.paths_trees import iter_dyck, iter_motzkin, iter_schroder
 from pamsort.patterns import (barred, classical, contains, mesh,
                               occurrences_of)
 from pamsort.words_core import (Domain, identity, is_member, reverse,
@@ -337,8 +339,8 @@ def test_machine_entry_rejects_letters_below_one():
 def test_walks_leave_no_reference_cycles():
     # a walk's pop memo must be freed when the walk ends, not at the next
     # full garbage collection, and a run on one word (with the per-body
-    # occurrence plans) or a pattern search with a predicate must leave
-    # nothing for the collector either
+    # occurrence plans), a pattern search with a predicate, a path
+    # enumeration or a bijection must leave nothing for the collector either
     s = spec((1, 3, 2, 4), domain=Domain.CAYLEY)
     shaded = mesh((1, 3, 2), ((1, 1),))
     bar = barred((3, 5, 2, 4, 1), (2,))
@@ -356,6 +358,10 @@ def test_walks_leave_no_reference_cycles():
         occurrences_of((2, 5, 3, 4, 1), shaded)
         contains((3, 2, 4, 1, 5), bar)
         occurrences_of((3, 2, 4, 1, 5), bar)
+        list(iter_dyck(3))
+        list(iter_motzkin(4))
+        list(iter_schroder(3))
+        av213_to_dyck((2, 5, 3, 4, 1))
         assert gc.collect() == 0
     finally:
         gc.enable()
