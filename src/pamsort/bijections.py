@@ -199,56 +199,67 @@ def eta_inverse(R: Sequence[int]) -> Word:
 # ---------------------------------------------------------------------------
 # RGFs avoiding 1221 <-> Dyck paths
 
-def _rgf1221_stats(prefix: Word) -> tuple[int, int]:
-    """(max, largest repeated letter or 1) of a nonempty 1221-avoiding
-    RGF prefix."""
-    M = max(prefix)
-    reps = [v for v in set(prefix) if prefix.count(v) > 1]
-    return M, (max(reps) if reps else 1)
-
-
 def rgf1221_to_dyck(R: Sequence[int]) -> LatticePath:
     """Grow a Dyck path letter by letter: appending j inserts a peak into
-    the last descending run at the slot determined by j."""
-    R = _rgf(R, (1, 2, 2, 1))
+    the last descending run at the slot determined by j.
+
+    The run has one slot per letter from t to the maximum M, where t is the
+    largest repeated letter so far (1 if none): a new maximum M + 1 takes
+    slot 0 and a repeat j >= t slot j - t + 1.  Every letter up to M has
+    occurred in an RGF, so a letter j <= M is a repeat and makes t = j.
+    The first copy of t comes before every larger letter, so the RGF
+    contains 1221 iff some letter j falls below the t read before it.
+    """
+    R = _rgf(R)
     if not R:
         return dyck_path(())
     steps = ["U", "D"]
-    for pos in range(1, len(R)):
-        M, t = _rgf1221_stats(R[:pos])
+    M = t = 1
+    for j in R[1:]:
+        if j < t:
+            raise ValueError(f"RGF contains 1221: {R}")
         L = M - t + 1
-        j = R[pos]
-        i = 0 if j == M + 1 else j - t + 1
         run_start = len(steps)
         while run_start > 0 and steps[run_start - 1] == "D":
             run_start -= 1
         if len(steps) - run_start != L:
             raise AssertionError("descending-run length out of sync")
+        if j > M:
+            i, M = 0, j
+        else:
+            i, t = j - t + 1, j
         steps[run_start + i:run_start + i] = ["U", "D"]
     return dyck_path(steps)
 
 
 def dyck_to_rgf1221(p: LatticePath | str | Sequence[str]) -> Word:
     """Inverse of :func:`rgf1221_to_dyck`: peel the rightmost peak down
-    to UD, then replay the insertions as letters."""
+    to UD, then replay the insertions as letters.
+
+    Only down steps follow the rightmost peak, so once it is peeled the
+    next one lies to its left: one backward scan finds every peak.
+    """
     steps = list(_dyck(p).steps)
     if not steps:
         return ()
     tail_counts: list[int] = []
+    q = len(steps) - 2
     while len(steps) > 2:
-        q = max(i for i in range(len(steps) - 1)
-                if steps[i] == "U" and steps[i + 1] == "D")
+        while not (steps[q] == "U" and steps[q + 1] == "D"):
+            q -= 1
         tail_counts.append(len(steps) - (q + 2))
         del steps[q:q + 2]
+        q = max(q - 1, 0)
     R = [1]
+    M = t = 1
     for c in reversed(tail_counts):
-        M, t = _rgf1221_stats(tuple(R))
-        L = M - t + 1
-        i = L - c
+        i = M - t + 1 - c
         if i == 0:
-            R.append(M + 1)
-        elif 1 <= i <= L:
-            R.append(t + i - 1)
+            M += 1
+            R.append(M)
+        elif i > 0:
+            t += i - 1
+            R.append(t)
         else:
             raise ValueError("path is not in the image of the insertion map")
     return tuple(R)

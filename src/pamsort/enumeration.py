@@ -231,7 +231,7 @@ _TREE_RULES: dict[tuple[Domain, tuple[Word, ...]], str] = {
 
 
 def tree_rule_for(spec: MachineSpec) -> str | None:
-    return _TREE_RULES.get((spec.domain, tuple(sorted(spec.bodies))))
+    return _TREE_RULES.get((spec.domain, spec.bodies))
 
 
 def count_sortable(spec: MachineSpec, n: int,

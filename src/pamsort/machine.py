@@ -16,6 +16,11 @@ occurrence survives k pops iff its second letter is deeper than k.  One
 scan per push therefore finds how many letters to pop: down to the
 deepest second letter of an anchored occurrence of some body of Sigma.
 
+That scan compares letters only by their order, so it runs once per
+transition of a lazily grown automaton over stack patterns, one per set
+of bodies and kept across calls in a bounded cache (``_AUTOMATA``); the
+per-word simulator and every walk of the domain step through it.
+
 >>> from .patterns import classical
 >>> spec = MachineSpec((classical((2, 3, 1)),))
 >>> sigma_stack_output((2, 4, 1, 3), spec)
@@ -29,7 +34,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from collections import OrderedDict
 from itertools import islice, permutations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -64,10 +69,16 @@ class MachineSpec:
                 )
             if len(p.body) < 2:
                 raise ValueError("stack patterns must have length >= 2")
+        # not a field: equality and hashing read sigma and the domain only
+        object.__setattr__(self, "_bodies",
+                           tuple(sorted(p.body for p in self.sigma)))
 
     @property
     def bodies(self) -> tuple[Word, ...]:
-        return tuple(p.body for p in self.sigma)
+        """The bodies of Sigma, sorted, computed once per spec: machines
+        that list Sigma in another order share one key for their oracle
+        and their automaton."""
+        return self._bodies
 
     def __str__(self) -> str:
         names = ",".join(format_pattern(p) for p in self.sigma)
@@ -86,15 +97,17 @@ class MachineTrace:
     sortable: bool = False
 
     def to_json(self) -> str:
-        return json.dumps({
-            "input": list(self.input),
-            "sigma": list(self.sigma),
-            "steps": [{"stack": s, "op": op, "value": v}
-                      for s, op, v in self.steps],
-            "first_output": list(self.first_output),
-            "final_output": list(self.final_output),
-            "sortable": self.sortable,
-        })
+        """The trace as one JSON object; each step is an object with the
+        keys ``stack``, ``op`` and ``value``.  The text is written directly,
+        in ``json.dumps``'s default format: a list of ints prints as JSON."""
+        steps = ", ".join('{"stack": %d, "op": "%s", "value": %d}' % step
+                          for step in self.steps)
+        return (f'{{"input": {list(self.input)}, '
+                f'"sigma": {json.dumps(list(self.sigma))}, '
+                f'"steps": [{steps}], '
+                f'"first_output": {list(self.first_output)}, '
+                f'"final_output": {list(self.final_output)}, '
+                f'"sortable": {json.dumps(self.sortable)}}}')
 
 
 def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
@@ -140,20 +153,149 @@ def _push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
     return (x,) + stack[cut:], stack[:cut]
 
 
+# ---------------------------------------------------------------------------
+# The sigma-stack automaton
+#
+# ``_must_pop`` compares letters only by their order, so what a push does
+# depends only on the order pattern of the stack and on where ``x`` falls
+# among the stack's letters.  One automaton per set of bodies records it:
+# a state is the pattern of a stack (top-first, ties kept), the input
+# symbol of ``x`` is 2 i + e, where i stack letters are distinct and below
+# ``x`` and e says whether ``x`` equals a stack letter, and a transition
+# is (pop count, next state, split flag, position of the new stack's
+# minimum).  The split flag is the walk's prune (c): under ``x``, a letter
+# above ``x`` sits above a letter below it.  A transition is built once,
+# by ``_push`` on the state's pattern, the first time it is taken.  The
+# pattern writes rank r as 2 r, so that ``x`` can stand as 2 i + 1 between
+# two ranks, or as 2 i + 2 on rank i + 1: either way ``x`` is 1 + the
+# symbol.
+
+_Transition = tuple[int, int, bool, int]
+
+
+class _Automaton:
+    """The lazily grown sigma-stack automaton of one set of bodies.
+    State 0 is the empty stack."""
+
+    __slots__ = ("bodies", "patterns", "ids", "ranks", "moves")
+
+    def __init__(self, bodies: tuple[Word, ...]) -> None:
+        self.bodies = bodies
+        # per state: its pattern, with the letters 2, 4, ..., 2m
+        self.patterns: list[Word] = []
+        self.ids: dict[Word, int] = {}
+        # per state: the topmost position of each distinct letter, by rank
+        self.ranks: list[tuple[int, ...]] = []
+        # the transitions built so far, keyed by symbol << 32 | state: no
+        # process holds 2**32 states
+        self.moves: dict[int, _Transition] = {}
+        self._state((), 0)
+
+    def _state(self, pattern: Word, m: int) -> int:
+        sid = self.ids.get(pattern)
+        if sid is None:
+            sid = self.ids[pattern] = len(self.patterns)
+            self.patterns.append(pattern)
+            top = dict(zip(pattern[::-1], range(len(pattern) - 1, -1, -1)))
+            self.ranks.append(tuple(map(top.__getitem__,
+                                        range(2, 2 * m + 1, 2))))
+        return sid
+
+    def step(self, sid: int, stack: tuple[int, ...], x: int) -> _Transition:
+        """The transition that pushing ``x`` onto ``stack`` (in state
+        ``sid``) takes."""
+        ranks = self.ranks[sid]
+        i = bisect_left(ranks, x, key=stack.__getitem__)
+        sym = 2 * i + (i < len(ranks) and stack[ranks[i]] == x)
+        t = self.moves.get(sym << 32 | sid)
+        if t is None:
+            t = self._build(sid, sym)
+        return t
+
+    def _build(self, sid: int, sym: int) -> _Transition:
+        x = sym + 1
+        new, popped = _push(self.patterns[sid], x, self.bodies)
+        split = above = False
+        for y in new[1:]:
+            if y > x:
+                above = True
+            elif y < x and above:
+                split = True
+                break
+        letters = sorted(set(new))
+        pattern = tuple([2 * bisect_left(letters, y) + 2 for y in new])
+        t = self.moves[sym << 32 | sid] = (
+            len(popped), self._state(pattern, len(letters)), split,
+            new.index(letters[0]))
+        _AUTOMATA.grew(self)
+        return t
+
+
+class _AutomatonCache:
+    """The automata of the recently used sets of bodies, least recently
+    used first, holding at most ``bound`` transitions in all.
+
+    The whole cache belongs to one pop rule: it is emptied when
+    ``_must_pop`` is no longer the function that built it.  An automaton
+    that alone outgrows the bound leaves the cache too; the runs that hold
+    it finish on it.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self.automata: OrderedDict[tuple[Word, ...], _Automaton] = \
+            OrderedDict()
+        self.total = 0
+        self.builder: Callable[..., int] | None = None
+
+    def get(self, bodies: tuple[Word, ...]) -> _Automaton:
+        if self.builder is not _must_pop:
+            self.clear()
+            self.builder = _must_pop
+        auto = self.automata.get(bodies)
+        if auto is None:
+            auto = self.automata[bodies] = _Automaton(bodies)
+        else:
+            self.automata.move_to_end(bodies)
+        return auto
+
+    def grew(self, auto: _Automaton) -> None:
+        if self.automata.get(auto.bodies) is not auto:
+            return
+        self.total += 1
+        while self.total > self.bound:
+            _, old = self.automata.popitem(last=False)
+            self.total -= len(old.moves)
+
+    def clear(self) -> None:
+        self.automata.clear()
+        self.total = 0
+
+
+# Holds the 15 machines of a mixed query load at word lengths 8-16 (about
+# 3,800 transitions), or the last few machines of brute-force counts at
+# n = 7 (up to about 1,300 each).
+_AUTOMATA = _AutomatonCache(bound=5120)
+
+
 def sigma_stack_output(w: Sequence[int], spec: MachineSpec,
                        trace: MachineTrace | None = None) -> Word:
     """Output of the Sigma-avoiding stack on ``w`` (the map s^Sigma).
     Letters are positive integers; a word with a letter below 1 raises
     ``ValueError``."""
     _check_letters(w)
-    bodies = spec.bodies
+    step = _AUTOMATA.get(spec.bodies).step
+    sid = 0
     stack: tuple[int, ...] = ()
     out: list[int] = []
     for x in w:
-        stack, popped = _push(stack, x, bodies)
-        out.extend(popped)
+        pops, sid, _, _ = step(sid, stack, x)
+        if pops:
+            out.extend(stack[:pops])
+            if trace is not None:
+                trace.steps.extend((1, "pop", v) for v in stack[:pops])
+        stack = (x,) + stack[pops:]
         if trace is not None:
-            trace.steps.extend((1, "pop", v) for v in popped)
             trace.steps.append((1, "push", x))
     out.extend(stack)
     if trace is not None:
@@ -268,7 +410,7 @@ def _extensions(d: Domain, n: int, prefix: list[int],
     slots_left = n - k - 1
     n_used = len(used)
     for v in range(1, n + 1):
-        new_max = max(cur_max, v)
+        new_max = v if v > cur_max else cur_max
         missing = new_max - n_used - (v not in used)
         if missing > slots_left:
             continue
@@ -307,14 +449,19 @@ def _descend(d: Domain, n: int, step: Callable[[_S, int], _S | None] | None,
     if len(prefix) == n:
         yield tuple(prefix), state
         return
+    leaf = len(prefix) == n - 1
+    top, ascents = shape
     for v in _extensions(d, n, prefix, used, shape):
         child = state
         if step is not None:
             child = step(state, v)
             if child is None:
                 continue
-        new_shape = (max(shape[0], v),
-                     shape[1] + (1 if prefix and prefix[-1] < v else 0))
+        if leaf:
+            yield (*prefix, v), child
+            continue
+        new_shape = (v if v > top else top,
+                     ascents + 1 if prefix and prefix[-1] < v else ascents)
         prefix.append(v)
         used[v] = used.get(v, 0) + 1
         yield from _descend(d, n, step, prefix, used, child, new_shape)
@@ -346,41 +493,13 @@ def iter_domain(d: Domain, n: int, max_n: int | None = None) -> Iterator[Word]:
 # subsequence of the final output.  The walks that want a constrained
 # output prune on the drain, not only on the emitted letters.
 
-def _drain_push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
-                ) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
-    """``_push``, plus what the 231 drain prune needs of the stack left
-    under ``x``: (new stack, popped letters, smallest letter of the new
-    stack, whether some letter above ``x`` sits above some letter below
-    ``x`` in the rest of the stack read top-down)."""
-    stack, popped = _push(stack, x, bodies)
-    above = split = False
-    for y in stack:
-        if y > x:
-            above = True
-        elif y < x and above:
-            split = True
-            break
-    return stack, popped, min(stack), split
-
-
-_P = TypeVar("_P")
-
-
-def _walk_memo(push: Callable[..., _P], spec: MachineSpec
-               ) -> Callable[[tuple[int, ...], int], _P]:
-    """``push`` (``_push`` or ``_drain_push``) for one walk, memoized:
-    sibling subtrees repeat the same (stack, letter) pairs.  The memo dies
-    with the walk."""
-    return lru_cache(maxsize=None)(partial(push, bodies=spec.bodies))
-
-
-_SortState = tuple[tuple[int, ...], _Detector, Word]
+_SortState = tuple[tuple[int, ...], int, _Detector, Word]
 
 
 def _sortable_walk(spec: MachineSpec, n: int
                    ) -> Iterator[tuple[Word, _SortState]]:
-    """The sortable length-n words, each with its state (stack, 231
-    detector of the emitted letters, emitted letters).
+    """The sortable length-n words, each with its state (stack, automaton
+    state, 231 detector of the emitted letters, emitted letters).
 
     A subtree is pruned once its drain contains 231.  Pushing ``x`` pops
     the letters P and leaves the rest R of the stack under it, so the drain
@@ -391,26 +510,31 @@ def _sortable_walk(spec: MachineSpec, n: int
     (c) the 2: in R a letter above ``x`` sits above a letter below ``x``.
     Every leaf is then sortable: its drain is its first-stack output.
     """
-    push = _walk_memo(_drain_push, spec)
+    push = _AUTOMATA.get(spec.bodies).step
 
     def step(state: _SortState, v: int) -> _SortState | None:
-        stack, detector, out = state
-        stack, popped, low, split = push(stack, v)
+        stack, sid, detector, out = state
+        pops, sid, split, low = push(sid, stack, v)
         if split:                                           # (c)
             return None
-        # E.P is a prefix of the parent's drain, so it avoids 231
-        detector = _feed_231(detector, popped)
-        assert detector is not None
+        if pops:
+            # E.P is a prefix of the parent's drain, so it avoids 231
+            popped = stack[:pops]
+            detector = _feed_231(detector, popped)
+            assert detector is not None
+            out += popped
         seen, threshold = detector
         if v < threshold:                                   # (a)
             return None
-        # low is min(R) when that lies below v, else v: an empty interval
-        i = bisect_right(seen, low)
+        stack = (v,) + stack[pops:]
+        # stack[low] is min(R) when that lies below v, else v: an empty
+        # interval
+        i = bisect_right(seen, stack[low])
         if i < len(seen) and seen[i] < v:                   # (b)
             return None
-        return stack, detector, out + popped
+        return stack, sid, detector, out
 
-    return _walk(spec.domain, n, ((), ((), 0), ()), step)
+    return _walk(spec.domain, n, ((), 0, ((), 0), ()), step)
 
 
 def sortable_count(spec: MachineSpec, n: int,
@@ -432,15 +556,17 @@ def machine_outputs(spec: MachineSpec, n: int,
     """Yield (input, first-stack output) over the whole domain at length n,
     sharing machine state across common prefixes."""
     _check_guard(spec.domain, n, max_n)
-    push = _walk_memo(_push, spec)
+    push = _AUTOMATA.get(spec.bodies).step
 
-    def step(state: tuple[Word, Word], v: int) -> tuple[Word, Word]:
-        stack, out = state
-        stack, popped = push(stack, v)
-        return stack, out + popped
+    def step(state: tuple[Word, int, Word], v: int
+             ) -> tuple[Word, int, Word]:
+        stack, sid, out = state
+        pops, sid, _, _ = push(sid, stack, v)
+        return (v,) + stack[pops:], sid, out + stack[:pops]
 
     return ((w, out + stack)
-            for w, (stack, out) in _walk(spec.domain, n, ((), ()), step))
+            for w, (stack, _, out) in _walk(spec.domain, n, ((), 0, ()),
+                                            step))
 
 
 def fertility(w: Sequence[int], spec: MachineSpec,
@@ -457,21 +583,23 @@ def fertility(w: Sequence[int], spec: MachineSpec,
     w = tuple(w)
     _check_letters(w)
     _check_guard(spec.domain, len(w), max_n)
-    push = _walk_memo(_push, spec)
+    push = _AUTOMATA.get(spec.bodies).step
 
-    def step(state: tuple[tuple[int, ...], int], v: int
-             ) -> tuple[tuple[int, ...], int] | None:
-        stack, k = state
-        stack, popped = push(stack, v)
-        end = k + len(popped)
-        if w[k:end] != popped:
+    def step(state: tuple[tuple[int, ...], int, int], v: int
+             ) -> tuple[tuple[int, ...], int, int] | None:
+        stack, sid, k = state
+        pops, sid, _, _ = push(sid, stack, v)
+        end = k + pops
+        if w[k:end] != stack[:pops]:
             return None
+        stack = (v,) + stack[pops:]
         rest = islice(w, end, None)
         if not all(y in rest for y in stack):
             return None
-        return stack, end
+        return stack, sid, end
 
-    preimages = [src for src, _ in _walk(spec.domain, len(w), ((), 0), step)]
+    preimages = [src for src, _ in _walk(spec.domain, len(w), ((), 0, 0),
+                                         step)]
     return len(preimages), preimages
 
 
@@ -486,7 +614,8 @@ def image_set(spec: MachineSpec, n: int, sorted_only: bool = False,
     if not sorted_only:
         return {o for _, o in machine_outputs(spec, n, max_n)}
     _check_guard(spec.domain, n, max_n)
-    return {out + stack for _, (stack, _, out) in _sortable_walk(spec, n)}
+    return {out + stack
+            for _, (stack, _, _, out) in _sortable_walk(spec, n)}
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def oracle_for(spec: MachineSpec) -> Callable[[Word], bool]:
 
     Raises :class:`FallbackRequired` for the open cases, on every call.
     """
-    pred = _compiled_oracle(spec.domain, tuple(sorted(spec.bodies)))
+    pred = _compiled_oracle(spec.domain, spec.bodies)
     if pred is None:
         raise FallbackRequired(f"open case: {spec}")
     return pred

@@ -267,11 +267,43 @@ def test_dyck_av213_round_trip_on_long_paths(steps):
 
 
 @settings(max_examples=40, deadline=None)
-@given(steps=dyck_steps())
+@given(steps=dyck_steps(8, 32))
 def test_rgf1221_dyck_round_trip_on_long_paths(steps):
     R = dyck_to_rgf1221(steps)
     assert is_member(R, Domain.RGF) and not naive_contains(R, (1, 2, 2, 1))
     assert rgf1221_to_dyck(R).steps == steps
+
+
+@st.composite
+def rgf_avoiding_1221(draw, min_n=8, max_n=32):
+    """A random RGF that avoids 1221: once a letter b occurs twice, no
+    smaller letter follows, so each letter is drawn at or above the largest
+    repeated letter so far."""
+    n = draw(st.integers(min_n, max_n))
+    w = [1]
+    floor = 1
+    while len(w) < n:
+        v = draw(st.integers(floor, max(w) + 1))
+        if v in w:
+            floor = v
+        w.append(v)
+    return tuple(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(R=rgf_avoiding_1221())
+def test_rgf1221_dyck_round_trip_on_long_words(R):
+    assert is_member(R, Domain.RGF) and not naive_contains(R, (1, 2, 2, 1))
+    p = rgf1221_to_dyck(R)
+    assert p.semilength == len(R)
+    assert dyck_to_rgf1221(p) == R
+    # a letter below the largest repeated one makes a 1221
+    repeated = [v for v in set(R) if R.count(v) > 1]
+    if repeated and max(repeated) > 1:
+        bad = R + (max(repeated) - 1,)
+        assert naive_contains(bad, (1, 2, 2, 1))
+        with pytest.raises(ValueError, match="RGF contains 1221"):
+            rgf1221_to_dyck(bad)
 
 
 @settings(max_examples=30, deadline=None)

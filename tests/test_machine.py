@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from helpers import domain_words, naive_contains
 from pamsort.bijections import av213_to_dyck
 from pamsort.enumeration import bell, fishburn, fubini
-from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, _must_pop, _walk,
+import pamsort.machine as M
+from pamsort.machine import (DEFAULT_GUARDS, MachineSpec, MachineTrace,
+                             _Automaton, _AutomatonCache, _must_pop, _walk,
                              encode_labeled_path, fertility, image_set,
                              is_sortable, iter_domain, machine_outputs,
                              machine_run, sigma_stack_output, sortable_count,
@@ -96,6 +98,33 @@ def test_trace_json_and_counts():
     assert data["first_output"] == [1, 4, 3, 2]
     assert data["final_output"] == [1, 2, 3, 4]
     assert data["sortable"] is True
+
+
+def dict_form_json(trace):
+    """The trace as ``json.dumps`` writes its dict form, one dict per
+    step."""
+    return json.dumps({
+        "input": list(trace.input),
+        "sigma": list(trace.sigma),
+        "steps": [{"stack": s, "op": op, "value": v}
+                  for s, op, v in trace.steps],
+        "first_output": list(trace.first_output),
+        "final_output": list(trace.final_output),
+        "sortable": trace.sortable,
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=st.lists(st.integers(1, 6), max_size=16),
+       bodies=st.lists(st.sampled_from([(2, 3, 1), (1, 2), (1, 1), (1, 3, 2),
+                                        (2, 1, 3, 1)]),
+                       min_size=1, max_size=2))
+def test_trace_json_is_the_dict_form(w, bodies):
+    # runs of length 0-16 with repeated letters, on machines whose pushes
+    # pop and whose outputs are sortable or not
+    _, trace = machine_run(w, spec(*bodies), with_trace=True)
+    assert trace.to_json() == dict_form_json(trace)
+    assert MachineTrace().to_json() == dict_form_json(MachineTrace())
 
 
 def test_iter_domain_counts_and_order():
@@ -325,6 +354,84 @@ def test_pop_depth_matches_naive(d, data):
             naive_pop_count(stack, x, bodies), (stack, x)
 
 
+def naive_split(new):
+    """Prune (c) of the sortable walk on the stack ``new`` (top-first,
+    the pushed letter on top): under it, a larger letter sits above a
+    smaller one."""
+    x, rest = new[0], new[1:]
+    return any(rest[i] > x > rest[j]
+               for i, j in itertools.combinations(range(len(rest)), 2))
+
+
+@pytest.mark.parametrize("d", list(Domain), ids=lambda d: d.value)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_automaton_matches_pop_rule(d, data):
+    # every push of a run, taken through a fresh automaton, against the
+    # pop kernel, the naive pop count and the naive drain prune on the
+    # stack the naive machine holds at that point
+    w = data.draw(domain_words(d, 6, 12))
+    bodies = tuple(data.draw(st.lists(SIGMA_BODIES, min_size=1, max_size=2)))
+    auto = _Automaton(bodies)
+    sid = 0
+    for i, x in enumerate(w):
+        _, bottom_first = naive_stack_run(w[:i], bodies)
+        stack = tuple(bottom_first[::-1])
+        assert auto.patterns[sid] == tuple(2 * r for r in standardize(stack))
+        pops, sid, split, low = auto.step(sid, stack, x)
+        assert pops == _must_pop(stack, x, bodies) == \
+            naive_pop_count(bottom_first, x, bodies), (stack, x)
+        new = (x,) + stack[pops:]
+        assert split == naive_split(new), (new, bodies)
+        assert new[low] == min(new), (new, low)
+
+
+SPILL_SIGMAS = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2),
+                (3, 2, 1), (1, 3, 2, 4), (2, 4, 1, 3)]
+
+
+def test_automaton_cache_evicts_within_its_bound(monkeypatch):
+    specs = [spec(b, domain=Domain.CAYLEY) for b in SPILL_SIGMAS]
+    monkeypatch.setattr(M, "_AUTOMATA", _AutomatonCache(bound=10 ** 9))
+    want = [sortable_count(s, 5) for s in specs]
+    sizes = [len(a.moves) for a in M._AUTOMATA.automata.values()]
+    bound = 2 * max(sizes)
+    assert sum(sizes) > bound
+    cache = _AutomatonCache(bound)
+    monkeypatch.setattr(M, "_AUTOMATA", cache)
+    for _ in range(2):
+        assert [sortable_count(s, 5) for s in specs] == want
+        assert cache.total <= bound
+        assert cache.total == sum(len(a.moves)
+                                  for a in cache.automata.values())
+        assert len(cache.automata) < len(specs)
+    # the machines used last are the ones kept
+    assert list(cache.automata)[-1] == specs[-1].bodies
+    # an automaton that alone outgrows the bound leaves the cache
+    cache.bound = 1
+    assert sortable_count(specs[0], 5) == want[0]
+    assert cache.total == 0 and not cache.automata
+
+
+def test_patched_pop_rule_is_not_masked_by_the_automaton(monkeypatch):
+    s = spec((2, 3, 1))
+    w = (3, 1, 4, 2, 5)
+    want = naive_sigma_stack(w, ((2, 3, 1),))
+    assert sigma_stack_output(w, s) == want        # transitions are cached
+    count = sortable_count(s, 5)
+    assert count != 42
+    # always popping: the first stack passes its input through, so the
+    # sortable words are the 42 that avoid 231
+    monkeypatch.setattr(M, "_must_pop", lambda stack, x, bodies: True)
+    assert sigma_stack_output(w, s) == w
+    assert sortable_count(s, 5) == 42
+    monkeypatch.undo()
+    # nothing the patched rule built is read again
+    assert sigma_stack_output(w, s) == want
+    assert sortable_count(s, 5) == count
+    assert M._AUTOMATA.builder is _must_pop
+
+
 def test_machine_entry_rejects_letters_below_one():
     s = spec((2, 3, 1))
     for call in (lambda: sigma_stack_output((0,), s),
@@ -336,17 +443,23 @@ def test_machine_entry_rejects_letters_below_one():
             call()
 
 
-def test_walks_leave_no_reference_cycles():
-    # a walk's pop memo must be freed when the walk ends, not at the next
-    # full garbage collection, and a run on one word (with the per-body
-    # occurrence plans), a pattern search with a predicate, a path
-    # enumeration or a bijection must leave nothing for the collector either
+def test_walks_leave_no_reference_cycles(monkeypatch):
+    # the automata that a walk grows, and the ones the cache evicts or
+    # drops, must be freed by reference counting, not at the next full
+    # garbage collection; a run on one word (with the per-body occurrence
+    # plans), a pattern search with a predicate, a path enumeration or a
+    # bijection must leave nothing for the collector either
     s = spec((1, 3, 2, 4), domain=Domain.CAYLEY)
     shaded = mesh((1, 3, 2), ((1, 1),))
     bar = barred((3, 5, 2, 4, 1), (2,))
+    monkeypatch.setattr(M, "_AUTOMATA", _AutomatonCache(bound=300))
     gc.collect()
     gc.disable()
     try:
+        for b in SPILL_SIGMAS:                  # grows and evicts
+            sortable_count(spec(b), 5)
+        assert len(M._AUTOMATA.automata) < len(SPILL_SIGMAS)
+        M._AUTOMATA.clear()
         sortable_count(s, 5)
         list(machine_outputs(s, 5))
         image_set(s, 5, sorted_only=True)
