@@ -98,16 +98,18 @@ class MachineTrace:
 
     def to_json(self) -> str:
         """The trace as one JSON object; each step is an object with the
-        keys ``stack``, ``op`` and ``value``.  The text is written directly,
-        in ``json.dumps``'s default format: a list of ints prints as JSON."""
+        keys ``stack``, ``op`` and ``value``.  The steps are written as
+        text, in ``json.dumps``'s default format, and the rest by
+        ``json.dumps``."""
+        dumps = json.dumps
         steps = ", ".join('{"stack": %d, "op": "%s", "value": %d}' % step
                           for step in self.steps)
-        return (f'{{"input": {list(self.input)}, '
-                f'"sigma": {json.dumps(list(self.sigma))}, '
+        return (f'{{"input": {dumps(list(self.input))}, '
+                f'"sigma": {dumps(list(self.sigma))}, '
                 f'"steps": [{steps}], '
-                f'"first_output": {list(self.first_output)}, '
-                f'"final_output": {list(self.final_output)}, '
-                f'"sortable": {json.dumps(self.sortable)}}}')
+                f'"first_output": {dumps(list(self.first_output))}, '
+                f'"final_output": {dumps(list(self.final_output))}, '
+                f'"sortable": {dumps(self.sortable)}}}')
 
 
 def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
