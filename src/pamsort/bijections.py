@@ -23,7 +23,7 @@ from .machine import MachineSpec
 from .oracles import _strip_anchored_max, oracle_for, sortable_123
 from .paths_trees import (LatticePath, PathKind, dyck_path, matching,
                           schroder_path)
-from .patterns import classical, contains_classical, occurrences_of
+from .patterns import _NO_BOUND, classical, contains_classical
 from .words_core import (Domain, Word, format_word, inflate, is_member,
                          ltr_minima, standardize)
 
@@ -38,13 +38,75 @@ def _dyck(p: LatticePath | str | Sequence[str]) -> LatticePath:
     return p
 
 
+def _suffix_minima(w: Sequence[int]) -> list[int | float]:
+    """``low[j]`` is the least letter of ``w[j:]``; ``low[len(w)]`` lies
+    above every letter.  It never decreases with j, so a scan for a letter
+    below some v stops at the first j where ``low[j] >= v``."""
+    low: list[int | float] = list(accumulate(reversed(w), min))
+    low.reverse()
+    low.append(_NO_BOUND)
+    return low
+
+
+def _rgf_has_12231(R: Word) -> bool:
+    """Does the RGF ``R`` contain 12231?  In an RGF every letter below b
+    first occurs before the first b, so ``R`` contains 12231 iff some b
+    occurs twice, later a letter above b occurs, and after that a letter
+    below b.  The second copy of b leaves the most room, so only it is
+    tried; the scan for the larger letter ends where no letter below b
+    follows.
+
+    >>> _rgf_has_12231((1, 2, 2, 3, 1)), _rgf_has_12231((1, 2, 3, 2, 1))
+    (True, False)
+    """
+    low = _suffix_minima(R)
+    top = 0
+    tried: set[int] = set()
+    for q, b in enumerate(R):
+        if b > top:
+            top = b
+            continue
+        if b in tried:
+            continue
+        tried.add(b)
+        for j in range(q + 1, len(R) - 1):
+            if low[j + 1] >= b:
+                break
+            if R[j] > b:
+                return True
+    return False
+
+
+def _rgf_has_12321(R: Word) -> bool:
+    """Does the RGF ``R`` contain 12321?  In an RGF every letter below b
+    first occurs before the first b, so ``R`` contains 12321 iff some b
+    recurs after a letter above b, and a letter below b follows.
+
+    >>> _rgf_has_12321((1, 2, 3, 2, 1)), _rgf_has_12321((1, 2, 2, 3, 1))
+    (True, False)
+    """
+    low = _suffix_minima(R)
+    top = 0
+    for q, b in enumerate(R):
+        if b < top and low[q + 1] < b:
+            return True
+        if b > top:
+            top = b
+    return False
+
+
+# The scans, valid on RGFs only, of the bodies that the maps avoid.
+_RGF_SCANS = {(1, 2, 2, 3, 1): _rgf_has_12231,
+              (1, 2, 3, 2, 1): _rgf_has_12321}
+
+
 def _rgf(R: Sequence[int], avoid: Word = ()) -> Word:
     """``R`` as a tuple, checked to be an RGF that avoids the classical
-    pattern ``avoid`` (none if empty)."""
+    pattern ``avoid`` (none if empty), a key of ``_RGF_SCANS``."""
     R = tuple(R)
     if not is_member(R, Domain.RGF):
         raise ValueError(f"expected an RGF: {R}")
-    if avoid and contains_classical(R, avoid):
+    if avoid and _RGF_SCANS[avoid](R):
         raise ValueError(f"RGF contains {format_word(avoid)}: {R}")
     return R
 
@@ -152,6 +214,9 @@ def schroder_to_sort123(p: LatticePath | str | Sequence[str]) -> Word:
 # ---------------------------------------------------------------------------
 # eta: 132-sortable permutations <-> RGFs avoiding 12231
 
+_SPEC_132 = MachineSpec((classical((1, 3, 2)),))
+
+
 def eta(pi: Sequence[int]) -> Word:
     """Record, for each element, the index of its horizontal strip (the
     value interval between consecutive ltr minima): 1 plus the number of
@@ -159,7 +224,7 @@ def eta(pi: Sequence[int]) -> Word:
     w = tuple(pi)
     if not is_member(w, Domain.PERM):
         raise ValueError(f"expected a permutation: {w}")
-    if w and not oracle_for(MachineSpec((classical((1, 3, 2)),)))(w):
+    if w and not oracle_for(_SPEC_132)(w):
         raise ValueError(f"{w} is not 132-sortable")
     mins = ltr_minima(w)
     return tuple(1 + sum(m > v for m in mins) for v in w)
@@ -450,17 +515,62 @@ def av321_to_rgfnr12321(pi: Sequence[int]) -> Word:
 # ---------------------------------------------------------------------------
 # delta: RGFs avoiding 12231 <-> RGFs avoiding 12321
 
+def _last_321(w: Sequence[int]) -> tuple[int, int] | None:
+    """The first two positions of the lexicographically last occurrence
+    of 321 in ``w``, or None if it avoids 321: the last i1 with a 21 of
+    smaller letters after it, then the last such i2 (its third letter
+    does not matter).
+
+    >>> _last_321((3, 2, 1, 2, 1)), _last_321((1, 3, 2))
+    ((0, 3), None)
+    """
+    low = _suffix_minima(w)
+    least = _NO_BOUND   # the least letter after i1 with a smaller one after it
+    for i1 in range(len(w) - 1, -1, -1):
+        v = w[i1]
+        if v > least:
+            for i2 in range(len(w) - 2, i1, -1):
+                y = w[i2]
+                if y < v and low[i2 + 1] < y:
+                    return i1, i2
+        if low[i1 + 1] < v < least:
+            least = v
+    return None
+
+
+def _first_repeat_231(w: Sequence[int]) -> tuple[int, int] | None:
+    """The first two positions of the lexicographically first occurrence
+    of 231 in ``w`` whose first letter repeats an earlier one, or None if
+    there is none: the first repeated i1 with a larger letter after it
+    that a letter below ``w[i1]`` follows, then the first such i2.
+
+    >>> _first_repeat_231((1, 2, 3, 2, 4, 1)), _first_repeat_231((2, 3, 1))
+    ((3, 4), None)
+    """
+    low = _suffix_minima(w)
+    seen: set[int] = set()
+    for i1, v in enumerate(w):
+        if v not in seen:
+            seen.add(v)
+            continue
+        for i2 in range(i1 + 1, len(w) - 1):
+            if low[i2 + 1] >= v:
+                break
+            if w[i2] > v:
+                return i1, i2
+    return None
+
+
 def delta(R: Sequence[int]) -> Word:
     """Repeatedly swap the first two letters of the lexicographically
     rightmost occurrence of 321 until the word avoids 321."""
     R = _rgf(R, (1, 2, 2, 3, 1))
     w = list(R)
-    p321 = classical((3, 2, 1))
     for _ in range(len(R) ** 3 + 1):
-        occs = occurrences_of(w, p321)
-        if not occs:
+        swap = _last_321(w)
+        if swap is None:
             return tuple(w)
-        i1, i2, _ = max(occs)
+        i1, i2 = swap
         w[i1], w[i2] = w[i2], w[i1]
     raise AssertionError("delta failed to terminate")
 
@@ -471,16 +581,10 @@ def delta_inverse(R: Sequence[int]) -> Word:
     occurrence of that value)."""
     R = _rgf(R, (1, 2, 3, 2, 1))
     w = list(R)
-    p231 = classical((2, 3, 1))
     for _ in range(len(R) ** 3 + 1):
-        found = None
-        for occ in occurrences_of(w, p231):
-            i1 = occ[0]
-            if w.index(w[i1]) < i1:  # repeated value
-                found = occ
-                break
-        if found is None:
+        swap = _first_repeat_231(w)
+        if swap is None:
             return tuple(w)
-        i1, i2, _ = found
+        i1, i2 = swap
         w[i1], w[i2] = w[i2], w[i1]
     raise AssertionError("delta_inverse failed to terminate")

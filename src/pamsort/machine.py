@@ -85,6 +85,11 @@ class MachineSpec:
         return f"sigma={names} on {self.domain.value}"
 
 
+# The text of a trace step up to its value, for each stack and operation.
+_STEP_HEADS = {(stack, op): '{"stack": %d, "op": "%s", "value": ' % (stack, op)
+               for stack in (1, 2) for op in ("push", "pop")}
+
+
 @dataclass
 class MachineTrace:
     """Push/pop event log of a machine run."""
@@ -102,8 +107,9 @@ class MachineTrace:
         text, in ``json.dumps``'s default format, and the rest by
         ``json.dumps``."""
         dumps = json.dumps
-        steps = ", ".join('{"stack": %d, "op": "%s", "value": %d}' % step
-                          for step in self.steps)
+        head = _STEP_HEADS
+        steps = ", ".join([head[stack, op] + "%d}" % value
+                           for stack, op, value in self.steps])
         return (f'{{"input": {dumps(list(self.input))}, '
                 f'"sigma": {dumps(list(self.sigma))}, '
                 f'"steps": [{steps}], '

@@ -586,6 +586,20 @@ def _has_mesh_3241(x: Sequence[int]) -> bool:
     return False
 
 
+def _has_xi(x: Sequence[int]) -> bool:
+    """Does ``x`` contain xi = bv(132;S={0,2};T={}), a 132 whose 1 is the
+    first letter of ``x`` and whose 3 and 2 are adjacent?  That is, is
+    ``x[0] < x[j + 1] < x[j]`` for some j >= 1?
+
+    >>> _has_xi((2, 1, 4, 3)), _has_xi((2, 4, 1, 3)), _has_xi((2, 3, 2))
+    (True, False, False)
+    """
+    if not x:
+        return False
+    one = x[0]
+    return any(one < b < a for a, b in zip(x[1:], x[2:]))
+
+
 # Direct scans for the classical bodies: the one-pass length-3 scans, by
 # reversal (right to left) and complement (negated letters) of 231 and
 # 123, and the pair scans of the hot oracle bases.
@@ -606,9 +620,11 @@ _CLASSICAL_SCANS: dict[Word, Callable[[Sequence[int]], bool]] = {
 # the barred letter's box.
 _MESH_3241 = mesh((3, 2, 4, 1), boxes=((1, 4),))
 
-_MESH_SCANS: dict[Pattern, Callable[[Sequence[int]], bool]] = {
+# Direct scans for the other patterns that the oracles check.
+_PATTERN_SCANS: dict[Pattern, Callable[[Sequence[int]], bool]] = {
     NAMED["mu"]: _has_mu,
     _MESH_3241: _has_mesh_3241,
+    NAMED["xi"]: _has_xi,
 }
 
 
@@ -617,9 +633,7 @@ def _direct_scan(p: Pattern) -> Callable[[Sequence[int]], bool] | None:
     only the backtracking search does.  A scan does not check letters."""
     if p.kind is PatternKind.CLASSICAL:
         return _CLASSICAL_SCANS.get(p.body)
-    if p.kind is PatternKind.MESH:
-        return _MESH_SCANS.get(p)
-    return None
+    return _PATTERN_SCANS.get(p)
 
 
 def contains_classical(x: Sequence[int], body: Word) -> bool:
@@ -733,8 +747,8 @@ def contains(w: Sequence[int], p: Pattern) -> bool:
     integers; a word with a letter below 1 raises ``ValueError``.
 
     Classical patterns go through :func:`contains_classical`, the mesh
-    patterns mu and mesh(3241;(1,4)) take a direct scan, and every other
-    pattern takes the backtracking search.
+    patterns mu and mesh(3241;(1,4)) and the bivincular xi take a direct
+    scan, and every other pattern takes the backtracking search.
     """
     w = tuple(w)
     if p.kind is PatternKind.CLASSICAL:

@@ -1,12 +1,14 @@
 """Test helpers shared by several test modules: random domain words, a
-naive containment check and the machines whose closed-form oracle is
-checked against brute force."""
+naive containment check, naive references for delta and its inverse,
+and the machines whose closed-form oracle is checked against brute
+force."""
 
 import itertools
 import random
 
 from hypothesis import strategies as st
 
+from pamsort.patterns import classical, occurrences_of
 from pamsort.words_core import Domain, modify, standardize
 
 
@@ -40,6 +42,33 @@ def naive_contains(seq, body):
                    for (a, p), (b, q) in itertools.combinations(
                        zip(sub, body), 2))
                for sub in itertools.combinations(seq, len(body)))
+
+
+def naive_delta(R):
+    """delta on a 12231-avoiding RGF by its definition: swap the first two
+    letters of the lexicographically last occurrence of 321 until none is
+    left, listing the occurrences anew after every swap."""
+    w = list(R)
+    while True:
+        occs = occurrences_of(w, classical((3, 2, 1)))
+        if not occs:
+            return tuple(w)
+        i1, i2, _ = max(occs)
+        w[i1], w[i2] = w[i2], w[i1]
+
+
+def naive_delta_inverse(R):
+    """The inverse of delta on a 12321-avoiding RGF by its definition: swap
+    the first two letters of the first occurrence of 231 whose first letter
+    repeats an earlier one, until none is left."""
+    w = list(R)
+    while True:
+        occs = [occ for occ in occurrences_of(w, classical((2, 3, 1)))
+                if w.index(w[occ[0]]) < occ[0]]
+        if not occs:
+            return tuple(w)
+        i1, i2, _ = occs[0]
+        w[i1], w[i2] = w[i2], w[i1]
 
 
 @st.composite

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_contains
+from helpers import (domain_words, naive_contains, naive_delta,
+                     naive_delta_inverse)
 from pamsort.bijections import (StoreMode, alpha_strip, av213_to_dyck,
                                 av321_to_rgfnr12321, beta_motzkin, delta,
                                 delta_inverse, dyck_to_av213, dyck_to_rgf1221,
@@ -12,9 +13,10 @@ from pamsort.bijections import (StoreMode, alpha_strip, av213_to_dyck,
                                 phi_add_max, rgf1221_to_dyck,
                                 rgfnr12321_to_av321, schroder_to_sort123,
                                 sort123_to_schroder)
+from pamsort.bijections import _rgf_has_12231, _rgf_has_12321
 from pamsort.machine import (MachineSpec, is_sortable, iter_domain,
                              sortable_words)
-from pamsort.patterns import classical, contains
+from pamsort.patterns import classical, contains, contains_classical
 from pamsort.paths_trees import format_path, iter_dyck
 from pamsort.words_core import Domain, is_member, parse_word
 
@@ -126,6 +128,22 @@ def test_pattern_checks_reject_exactly_the_containing_inputs():
                     assert "outside the bijection's domain" in str(e), w
 
 
+def test_rgf_scans_match_naive_on_short_rgfs():
+    for n in range(9):
+        for R in iter_domain(Domain.RGF, n):
+            assert _rgf_has_12231(R) == naive_contains(R, (1, 2, 2, 3, 1)), R
+            assert _rgf_has_12321(R) == naive_contains(R, (1, 2, 3, 2, 1)), R
+
+
+def test_delta_maps_match_the_naive_reference():
+    for n in range(9):
+        for R in iter_domain(Domain.RGF, n):
+            if not _rgf_has_12231(R):
+                assert delta(R) == naive_delta(R), R
+            if not _rgf_has_12321(R):
+                assert delta_inverse(R) == naive_delta_inverse(R), R
+
+
 def test_rgf1221_dyck_round_trip():
     from pamsort.paths_trees import double_rises
     p1221 = classical((1, 2, 2, 1))
@@ -203,8 +221,8 @@ def test_delta_round_trip():
 
 
 # Round trips on inputs of length 8-16, drawn from the side that is easy
-# to draw.  The input checks search RGFs for 12231, 1221 and 12321, and
-# delta searches for 321 or 231 after every swap: repeated letters at
+# to draw.  The input checks scan RGFs for 12231, 1221 and 12321, and
+# delta scans for 321 or 231 before every swap: repeated letters at
 # lengths that the exhaustive tests above do not reach.
 
 @st.composite
@@ -256,6 +274,34 @@ def rgf_avoiding_12231(draw, min_n=8, max_n=16):
         floor = max([floor] + [b for b in set(w) if b < v and w.count(b) > 1])
         w.append(v)
     return tuple(w)
+
+
+@st.composite
+def rgf_avoiding_12321(draw, min_n=8, max_n=32):
+    """A random RGF that avoids 12321: once a letter b recurs below an
+    earlier larger letter, no letter below b follows, so each letter is
+    drawn at or above the largest such b so far."""
+    n = draw(st.integers(min_n, max_n))
+    w: list[int] = []
+    floor, top = 1, 0
+    for _ in range(n):
+        v = draw(st.integers(floor, top + 1))
+        if v < top:
+            floor = max(floor, v)
+        top = max(top, v)
+        w.append(v)
+    return tuple(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(R=st.one_of(domain_words(Domain.RGF, 8, 32), rgf_avoiding_12231(8, 32),
+                   rgf_avoiding_12321()))
+def test_rgf_scans_match_the_search_on_long_rgfs(R):
+    # free RGFs of these lengths mostly contain both bodies; the two
+    # avoiding strategies draw words that avoid one and may contain the
+    # other
+    assert _rgf_has_12231(R) == contains_classical(R, (1, 2, 2, 3, 1))
+    assert _rgf_has_12321(R) == contains_classical(R, (1, 2, 3, 2, 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -347,4 +393,5 @@ def test_delta_round_trip_on_long_words(R):
     S = delta(R)
     assert is_member(S, Domain.RGF) and not naive_contains(S, (3, 2, 1))
     assert max(S) == max(R)
-    assert delta_inverse(S) == R
+    assert S == naive_delta(R)
+    assert delta_inverse(S) == R == naive_delta_inverse(S)

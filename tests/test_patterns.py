@@ -13,6 +13,7 @@ from pamsort.patterns import (AT, GAP, NAMED, PatternKind, PatternParseError,
                               classical, contains, contains_classical,
                               format_pattern, mesh, occurrences_of,
                               parse_pattern, path_contains, path_pattern)
+from pamsort.patterns import _search, _search_terms
 from pamsort.words_core import Domain, standardize
 
 
@@ -242,12 +243,20 @@ def naive_mesh_3241(w):
     return False
 
 
+def searched_xi(w):
+    """xi = bv(132;S={0,2};T={}) by the backtracking search, the way
+    :func:`contains` answers the bivincular patterns without a scan."""
+    body, accept = _search_terms(w, NAMED["xi"])
+    return _search(w, body, accept)
+
+
 DIRECT_SCANS = [
     (classical((1, 3, 2, 4)), naive_classical((1, 3, 2, 4))),
     (classical((2, 3, 1, 4)), naive_classical((2, 3, 1, 4))),
     (classical((2, 3, 4, 1)), naive_classical((2, 3, 4, 1))),
     (parse_pattern("@mu"), naive_mu),
     (parse_pattern("mesh(3241;(1,4))"), naive_mesh_3241),
+    (parse_pattern("@xi"), searched_xi),
 ]
 
 
@@ -260,6 +269,12 @@ def test_direct_scans_match_naive(pattern, naive, w):
     assert contains(w, pattern) == want
     if pattern.kind is PatternKind.CLASSICAL:
         assert contains_classical(w, pattern.body) == want
+
+
+def test_xi_scan_matches_the_search_on_short_words():
+    for n in range(7):
+        for w in itertools.product(range(1, 5), repeat=n):
+            assert contains(w, NAMED["xi"]) == searched_xi(w), w
 
 
 @pytest.mark.parametrize("pattern", [p for p, _ in DIRECT_SCANS],
