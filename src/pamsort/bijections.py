@@ -17,15 +17,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .machine import MachineSpec
-from .oracles import _strip_anchored_max, oracle_for, sortable_123
+from .oracles import _sort123_parts, oracle_for
 from .paths_trees import (LatticePath, PathKind, dyck_path, matching,
                           schroder_path)
 from .patterns import _NO_BOUND, classical, contains_classical
 from .words_core import (Domain, Word, format_word, inflate, is_member,
-                         ltr_minima, standardize)
+                         ltr_minima)
 
 Steps = tuple[str, ...]
 
@@ -172,18 +172,14 @@ def sort123_to_schroder(pi: Sequence[int]) -> LatticePath:
     w = tuple(pi)
     if not is_member(w, Domain.PERM) or not w:
         raise ValueError(f"expected a nonempty permutation: {w}")
-    if not sortable_123(w):
+    parts = _sort123_parts(w)
+    if parts is None:
         raise ValueError(f"{w} is not 123-sortable")
-    r = 0
-    while r + 1 < len(w) and w[r + 1] == w[r] + 1:
-        r += 1
-    beta = standardize(w[r:])
-    s = 0
-    while beta[0] != len(beta):
-        beta = _strip_anchored_max(beta)
-        s += 1
-    rho = standardize(beta[1:])
-    middle = av213_to_dyck(rho).steps if rho else ()
+    r, s, rho = parts
+    try:
+        middle = av213_to_dyck(rho).steps
+    except ValueError:   # rho contains 213
+        raise ValueError(f"{w} is not 123-sortable") from None
     return schroder_path(("H2",) * r + middle + ("H2",) * s)
 
 
@@ -194,16 +190,15 @@ def schroder_to_sort123(p: LatticePath | str | Sequence[str]) -> Word:
     if p.kind is not PathKind.SCHRODER:
         raise ValueError("expected a Schroeder path")
     steps = p.steps
-    a = 0
-    while a < len(steps) and steps[a] == "H2":
-        a += 1
-    b = 0
-    while b < len(steps) - a and steps[len(steps) - 1 - b] == "H2":
-        b += 1
-    middle = steps[a:len(steps) - b]
+    r = 0
+    while r < len(steps) and steps[r] == "H2":
+        r += 1
+    s = 0
+    while s < len(steps) - r and steps[len(steps) - 1 - s] == "H2":
+        s += 1
+    middle = steps[r:len(steps) - s]
     if "H2" in middle:
         raise ValueError(f"not in the image of the encoding: {steps}")
-    r, s = a, b
     rho = dyck_to_av213(dyck_path(middle)) if middle else ()
     w = (len(rho) + 1,) + rho
     for _ in range(s):
@@ -561,30 +556,30 @@ def _first_repeat_231(w: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
-def delta(R: Sequence[int]) -> Word:
-    """Repeatedly swap the first two letters of the lexicographically
-    rightmost occurrence of 321 until the word avoids 321."""
-    R = _rgf(R, (1, 2, 2, 3, 1))
+def _swap_until_avoided(R: Sequence[int], avoid: Word,
+                        find: Callable[[list[int]], tuple[int, int] | None],
+                        name: str) -> Word:
+    """Swap the two positions that ``find`` returns until it returns None."""
+    R = _rgf(R, avoid)
     w = list(R)
     for _ in range(len(R) ** 3 + 1):
-        swap = _last_321(w)
+        swap = find(w)
         if swap is None:
             return tuple(w)
         i1, i2 = swap
         w[i1], w[i2] = w[i2], w[i1]
-    raise AssertionError("delta failed to terminate")
+    raise AssertionError(f"{name} failed to terminate")
+
+
+def delta(R: Sequence[int]) -> Word:
+    """Repeatedly swap the first two letters of the lexicographically
+    rightmost occurrence of 321 until the word avoids 321."""
+    return _swap_until_avoided(R, (1, 2, 2, 3, 1), _last_321, "delta")
 
 
 def delta_inverse(R: Sequence[int]) -> Word:
     """Repeatedly swap the first two letters of the leftmost occurrence
     of 231 whose first letter is a repeated value (not the leftmost
     occurrence of that value)."""
-    R = _rgf(R, (1, 2, 3, 2, 1))
-    w = list(R)
-    for _ in range(len(R) ** 3 + 1):
-        swap = _first_repeat_231(w)
-        if swap is None:
-            return tuple(w)
-        i1, i2 = swap
-        w[i1], w[i2] = w[i2], w[i1]
-    raise AssertionError("delta_inverse failed to terminate")
+    return _swap_until_avoided(R, (1, 2, 3, 2, 1), _first_repeat_231,
+                               "delta_inverse")

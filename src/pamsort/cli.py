@@ -24,8 +24,7 @@ from .enumeration import (Method, SequenceId, count_sortable, golden_ids,
                           sequence_value, verify_golden)
 from .machine import MachineSpec, fertility, is_sortable, machine_run
 from .oracles import (FallbackRequired, UnsupportedError, classify,
-                      fertility_123, oracle_is_sortable, sorted_set,
-                      sorted_set_123)
+                      fertility_123, oracle_is_sortable, sorted_set)
 from .patterns import (Pattern, PatternKind, PatternParseError,
                        format_pattern, parse_pattern)
 from .paths_trees import format_path
@@ -297,10 +296,10 @@ def fertility_cmd(sigma: str, domain: str, max_n: int | None, as_json: bool,
     spec = _spec(sigma, domain)
     w = _domain_word(word_text, spec)
     preimages: list[Word] | None = None
-    if spec.domain is Domain.PERM and spec.bodies == ((1, 2, 3),) \
-            and w in sorted_set_123(len(w)):
-        count = fertility_123(w)
-    else:
+    count = 0
+    if spec.domain is Domain.PERM and spec.bodies == ((1, 2, 3),):
+        count = fertility_123(w)   # 0 exactly off sorted(123)
+    if not count:
         count, preimages = fertility(w, spec, max_n=max_n)
     if as_json:
         payload = {"word": format_word(w), "count": count}

@@ -58,34 +58,40 @@ def _hat_ge_231(sigma: Word) -> bool:
 # The 123-machine oracle
 
 def sortable_123(w: Sequence[int]) -> bool:
-    """Membership test for the 123-sortable permutations."""
-    w = standardize(w)
-    # deflate the leading run of consecutive ascents
-    while len(w) >= 2 and w[1] == w[0] + 1:
-        w = standardize(w[1:])
-    if len(w) <= 1:
-        return True
-    if w[0] < w[1]:
-        return False
-    # peel maxima: each maximum must sit immediately after its anchor
-    while w[0] != len(w):
-        w = _strip_anchored_max(w)
-        if w is None:
-            return False
-    return not contains_classical(w, (2, 1, 3))
+    """Membership test for the 123-sortable permutations, on words of
+    distinct letters (``ValueError`` on a repeated letter)."""
+    w = tuple(w)
+    if len(set(w)) != len(w):
+        raise ValueError(f"sortable_123 takes distinct letters: {w}")
+    if max(w, default=0) != len(w) or min(w, default=1) < 1:
+        w = standardize(w)
+    parts = _sort123_parts(w)
+    return parts is not None and not contains_classical(parts[2], (2, 1, 3))
 
 
-def _strip_anchored_max(w: Word) -> Word | None:
-    """``w`` without its maximum n if n sits immediately after its anchor:
-    n-1, or n-2 when ``w`` starts with n-1.  None otherwise.  ``w`` is a
-    permutation that does not start with n.  The inverse step of
-    :func:`pamsort.bijections.phi_add_max`."""
-    n = len(w)
-    pos = w.index(n)
-    anchor = n - 1 if w[0] != n - 1 else n - 2
-    if w[pos - 1] != anchor:
+def _sort123_parts(w: Word) -> tuple[int, int, Word] | None:
+    """The parts of the permutation ``w`` that Sort(123) is read from:
+    the length r of its leading run of consecutive ascents, the number s
+    of anchored maxima peeled off the rest, and rho, the letters after the
+    leading maximum that is left; None when a maximum is not anchored."""
+    r = 0
+    while r + 1 < len(w) and w[r + 1] == w[r] + 1:
+        r += 1
+    if r + 1 >= len(w):
+        return r, 0, ()
+    beta = standardize(w[r:]) if r else w
+    if beta[0] < beta[1]:   # beta[1] can never be peeled, so n never leads
         return None
-    return w[:pos] + w[pos + 1:]
+    # peel the maximum n while it sits right after its anchor, n-1 or (when
+    # beta starts with n-1) n-2: the inverse step of bijections.phi_add_max
+    n = len(beta)
+    while beta[0] != n:
+        pos = beta.index(n)
+        if beta[pos - 1] != (n - 1 if beta[0] != n - 1 else n - 2):
+            return None
+        beta = beta[:pos] + beta[pos + 1:]
+        n -= 1
+    return r, len(w) - r - n, beta[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -412,39 +418,34 @@ def is_fully_bijective_cayley(sigma: Sequence[int]) -> bool:
 # Sorted permutations and fertility of the 123-machine
 
 def _family_member_123(h: int, k: int, t: int) -> Word:
-    """The word D_h (-) (D_{k-1} (+) D_{t+1}) of length h + k + t."""
-    inner = direct_sum(decreasing(k - 1), decreasing(t + 1)) \
-        if k - 1 > 0 else decreasing(t + 1)
-    if h == 0:
-        return inner
-    return skew_sum(decreasing(h), inner)
+    """The word D_h (-) (D_{k-1} (+) D_{t+1}) of length h + k + t, for
+    k >= 2."""
+    return skew_sum(decreasing(h),
+                    direct_sum(decreasing(k - 1), decreasing(t + 1)))
 
 
 def sorted_set_123(n: int) -> set[Word]:
     """The image of the 123-stack map intersected with Av(231)."""
-    if n < 1:
-        return {()} if n == 0 else set()
-    out: set[Word] = {decreasing(n)}
-    for k in range(2, n + 1):
-        for h in range(n - k + 1):
-            t = n - k - h
-            out.add(_family_member_123(h, k, t))
-    return out
+    if n < 0:
+        return set()
+    return {decreasing(n)} | {_family_member_123(h, k, n - k - h)
+                              for k in range(2, n + 1)
+                              for h in range(n - k + 1)}
 
 
 def fertility_123(gamma: Sequence[int]) -> int:
-    """Number of preimages of gamma under the 123-stack map."""
+    """Number of preimages of gamma under the 123-stack map.  A family
+    member's last letter is k and its 1 sits at position h + k - 2."""
     g = tuple(gamma)
     n = len(g)
-    if n == 0:
-        return 1
     if g == decreasing(n):
         return 1
-    for k in range(2, n + 1):
-        for h in range(n - k + 1):
-            t = n - k - h
-            if _family_member_123(h, k, t) == g:
-                return catalan(k - 1)
+    k = g[-1]
+    if not 2 <= k <= n or 1 not in g:
+        return 0
+    h = g.index(1) - k + 2
+    if 0 <= h <= n - k and _family_member_123(h, k, n - k - h) == g:
+        return catalan(k - 1)
     return 0
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the bijection catalogue."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,10 @@ from pamsort.bijections import (StoreMode, alpha_strip, av213_to_dyck,
 from pamsort.bijections import _rgf_has_12231, _rgf_has_12321
 from pamsort.machine import (MachineSpec, is_sortable, iter_domain,
                              sortable_words)
+from pamsort.oracles import _sort123_parts
 from pamsort.patterns import classical, contains, contains_classical
 from pamsort.paths_trees import format_path, iter_dyck
-from pamsort.words_core import Domain, is_member, parse_word
+from pamsort.words_core import Domain, inflate, is_member, parse_word
 
 
 def test_dyck_to_av213_pinned_examples():
@@ -69,6 +72,38 @@ def test_sort123_schroder_round_trip():
             assert schroder_to_sort123(p) == w
             imgs.add(p.steps)
         assert len(imgs) == sort123_formula(n)
+
+
+def test_sort123_to_schroder_rejects_both_ways():
+    spec = MachineSpec((classical((1, 2, 3)),))
+    rng = random.Random(16)
+    unanchored = with_213 = 0
+    while unanchored < 30:
+        # r = 0 and a descent first: only an unanchored maximum can fail
+        n = rng.randint(9, 16)
+        w = tuple(rng.sample(range(1, n + 1), n))
+        if w[0] < w[1] or _sort123_parts(w) is not None:
+            continue
+        unanchored += 1
+        assert not is_sortable(w, spec), w
+        with pytest.raises(ValueError, match="is not 123-sortable"):
+            sort123_to_schroder(w)
+    while with_213 < 30:
+        # the parts (r, s, rho) put together by the inverse steps
+        n = rng.randint(9, 16)
+        r, s = rng.randint(0, 3), rng.randint(0, 3)
+        rho = tuple(rng.sample(range(1, n - r - s), n - 1 - r - s))
+        if not contains_classical(rho, (2, 1, 3)):
+            continue
+        with_213 += 1
+        w = (len(rho) + 1,) + rho
+        for _ in range(s):
+            w = phi_add_max(w)
+        w = inflate(w, 1, r + 1)
+        assert _sort123_parts(w) == (r, s, rho), w
+        assert not is_sortable(w, spec), w
+        with pytest.raises(ValueError, match="is not 123-sortable"):
+            sort123_to_schroder(w)
 
 
 def test_eta_pinned_example():

@@ -137,6 +137,14 @@ def test_fertility_command():
     r = run("fertility", "--sigma", "123", "--json", "12")
     data = json.loads(r.stdout)
     assert data["count"] == 1
+    # on sorted(123) the closed form gives the count alone; off it, and in
+    # the image (2413), the walk lists the preimages
+    r = run("fertility", "--sigma", "123", "--json", "132")
+    assert json.loads(r.stdout) == {"word": "132", "count": 1}
+    for word, pre in (("231", ["132"]), ("2413", ["3142", "3214"])):
+        r = run("fertility", "--sigma", "123", "--json", word)
+        assert json.loads(r.stdout) == {"word": word, "count": len(pre),
+                                        "preimages": pre}
 
 
 def test_sorted_set_command():
@@ -206,4 +214,4 @@ def test_readme_quick_tour():
         assert r.exit_code == 0, line
         assert " ".join(r.stdout.split()) == want, line
         checked += 1
-    assert checked == 5
+    assert checked == 6

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ORACLE_CASES, domain_words, perm_word
+from pamsort.enumeration import sort123_formula
 from pamsort.machine import (MachineSpec, image_set, is_sortable, iter_domain,
                              fertility, sortable_words)
 from pamsort.oracles import (FallbackRequired, classify, fertility_123, hat,
@@ -34,6 +35,14 @@ def test_sortable_123_examples():
     assert sortable_123((4, 1, 3, 2))
     assert not sortable_123((1, 3, 2))
     assert sortable_123((5, 6, 7, 4, 8, 9, 1, 3, 2))
+    # words of distinct letters are standardized first
+    assert sortable_123((0, 2)) and not sortable_123((5, 7, 6))
+
+
+def test_sortable_123_rejects_repeated_letters():
+    for w in ((1, 1), (2, 2, 1), (1, 2, 2)):
+        with pytest.raises(ValueError, match="sortable_123"):
+            sortable_123(w)
 
 
 def test_oracle_dispatch_and_fallback():
@@ -245,9 +254,24 @@ def test_fertility_123_matches_brute_on_family():
 
 def test_fertility_sums_to_sortable_count():
     s = spec((1, 2, 3))
-    for n in range(1, 7):
+    for n in range(1, 15):
         total = sum(fertility_123(g) for g in sorted_set_123(n))
-        assert total == len(sortable_words(s, n)), n
+        assert total == sort123_formula(n), n
+        if n < 7:
+            assert total == len(sortable_words(s, n)), n
+
+
+def test_fertility_123_is_zero_next_to_the_family():
+    # one adjacent transposition away from a member, and not a member
+    for n in range(2, 15):
+        family = sorted_set_123(n)
+        for gamma in family:
+            for i in range(n - 1):
+                g = gamma[:i] + (gamma[i + 1], gamma[i]) + gamma[i + 2:]
+                if g not in family:
+                    assert fertility_123(g) == 0, g
+    for g in ((2,), (1, 1), (0,)):
+        assert fertility_123(g) == 0, g
 
 
 def test_sorted_set_generic():
