@@ -36,6 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from collections import OrderedDict
 from itertools import islice, permutations
+from operator import le, sub
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .paths_trees import LatticePath, PathKind, matching
@@ -85,37 +86,114 @@ class MachineSpec:
         return f"sigma={names} on {self.domain.value}"
 
 
-# The text of a trace step up to its value, for each stack and operation.
-_STEP_HEADS = {(stack, op): '{"stack": %d, "op": "%s", "value": ' % (stack, op)
-               for stack in (1, 2) for op in ("push", "pop")}
+# The text of a trace step and the separator after it, with the value left
+# as a ``%d`` field: per stack, for a push and for a pop.
+_STEP_TEXT = tuple(
+    tuple('{"stack": %d, "op": "%s", "value": %%d}, ' % (stack, op)
+          for op in ("push", "pop"))
+    for stack in (1, 2))
+
+
+def _stack_ops(pushed: Sequence[int], popped: Sequence[int],
+               pops: Iterable[int], push: str = "U", pop: str = "D"
+               ) -> tuple[str, list[int]]:
+    """The operations of one stack in the order of its run, ``push`` per
+    push and ``pop`` per pop, joined, with their letters.  ``pops`` holds,
+    per push, the number of letters popped just before it; pushes read
+    ``pushed``, pops read ``popped``, and after the last push the stack
+    drains.
+
+    >>> _stack_ops((2, 4, 1, 3), (1, 4, 3, 2), (0, 0, 0, 2))
+    ('UUUDDUDD', [2, 4, 1, 1, 4, 3, 3, 2])
+    """
+    ops: list[str] = []
+    letters: list[int] = []
+    j = 0
+    for x, p in zip(pushed, pops):
+        if p:
+            ops.append(pop * p)
+            letters += popped[j:j + p]
+            j += p
+        ops.append(push)
+        letters.append(x)
+    ops.append(pop * (len(popped) - j))
+    letters += popped[j:]
+    return "".join(ops), letters
 
 
 @dataclass
 class MachineTrace:
-    """Push/pop event log of a machine run."""
+    """A machine run, recorded as the number of letters each stack pops
+    just before each push: ``sigma_pops`` for the sigma-stack, which
+    pushes ``input`` and emits ``first_output``, and ``stack21_pops`` for
+    the 21-stack, which pushes ``first_output`` and emits
+    ``final_output``.  Each stack drains after its last push.
+
+    >>> from .patterns import classical
+    >>> spec = MachineSpec((classical((2, 3, 1)),))
+    >>> _, trace = machine_run((2, 4, 1, 3), spec, with_trace=True)
+    >>> trace.sigma_pops, trace.stack21_pops
+    ([0, 0, 0, 2], [0, 1, 0, 0])
+    >>> trace.steps[:6]  # doctest: +NORMALIZE_WHITESPACE
+    [(1, 'push', 2), (1, 'push', 4), (1, 'push', 1), (1, 'pop', 1),
+     (1, 'pop', 4), (1, 'push', 3)]
+    >>> print(trace.to_json())  # doctest: +NORMALIZE_WHITESPACE
+    {"input": [2, 4, 1, 3], "sigma": ["231"], "steps":
+    [{"stack": 1, "op": "push", "value": 2},
+     {"stack": 1, "op": "push", "value": 4},
+     {"stack": 1, "op": "push", "value": 1},
+     {"stack": 1, "op": "pop", "value": 1},
+     {"stack": 1, "op": "pop", "value": 4},
+     {"stack": 1, "op": "push", "value": 3},
+     {"stack": 1, "op": "pop", "value": 3},
+     {"stack": 1, "op": "pop", "value": 2},
+     {"stack": 2, "op": "push", "value": 1},
+     {"stack": 2, "op": "pop", "value": 1},
+     {"stack": 2, "op": "push", "value": 4},
+     {"stack": 2, "op": "push", "value": 3},
+     {"stack": 2, "op": "push", "value": 2},
+     {"stack": 2, "op": "pop", "value": 2},
+     {"stack": 2, "op": "pop", "value": 3},
+     {"stack": 2, "op": "pop", "value": 4}],
+    "first_output": [1, 4, 3, 2], "final_output": [1, 2, 3, 4],
+    "sortable": true}
+    """
 
     input: Word = ()
     sigma: tuple[str, ...] = ()
-    steps: list[tuple[int, str, int]] = field(default_factory=list)
     first_output: Word = ()
     final_output: Word = ()
     sortable: bool = False
+    sigma_pops: list[int] = field(default_factory=list)
+    stack21_pops: list[int] = field(default_factory=list)
+
+    def _stacks(self) -> tuple[tuple[Word, Word, list[int]], ...]:
+        """(letters pushed, letters popped, pop counts) of each stack."""
+        first = self.first_output
+        return ((self.input, first, self.sigma_pops),
+                (first, self.final_output, self.stack21_pops))
+
+    @property
+    def steps(self) -> list[tuple[int, str, int]]:
+        """One (stack, op, value) per push and pop, stack 1 first, in the
+        order of the run: derived from the pop counts, so read-only."""
+        return [(stack, "push" if op == "U" else "pop", v)
+                for stack, run in enumerate(self._stacks(), 1)
+                for op, v in zip(*_stack_ops(*run))]
 
     def to_json(self) -> str:
-        """The trace as one JSON object; each step is an object with the
-        keys ``stack``, ``op`` and ``value``.  The steps are written as
-        text, in ``json.dumps``'s default format, and the rest by
-        ``json.dumps``."""
-        dumps = json.dumps
-        head = _STEP_HEADS
-        steps = ", ".join([head[stack, op] + "%d}" % value
-                           for stack, op, value in self.steps])
-        return (f'{{"input": {dumps(list(self.input))}, '
-                f'"sigma": {dumps(list(self.sigma))}, '
-                f'"steps": [{steps}], '
-                f'"first_output": {dumps(list(self.first_output))}, '
-                f'"final_output": {dumps(list(self.final_output))}, '
-                f'"sortable": {dumps(self.sortable)}}}')
+        """The trace as one JSON object, in ``json.dumps``'s default
+        format; each step is an object with the keys ``stack``, ``op`` and
+        ``value``.  The whole text is one format string, filled once."""
+        (steps1, letters1), (steps2, letters2) = (
+            _stack_ops(*run, *text)
+            for run, text in zip(self._stacks(), _STEP_TEXT))
+        return ('{"input": %s, "sigma": %s, "steps": [' +
+                (steps1 + steps2)[:-2] + '], "first_output": %s, '
+                '"final_output": %s, "sortable": %s}') % (
+            list(self.input), json.dumps(list(self.sigma)),
+            *letters1, *letters2, list(self.first_output),
+            list(self.final_output), "true" if self.sortable else "false")
 
 
 def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
@@ -290,63 +368,60 @@ def sigma_stack_output(w: Sequence[int], spec: MachineSpec,
                        trace: MachineTrace | None = None) -> Word:
     """Output of the Sigma-avoiding stack on ``w`` (the map s^Sigma).
     Letters are positive integers; a word with a letter below 1 raises
-    ``ValueError``."""
+    ``ValueError``.  A ``trace`` gets the pop count of every push, the
+    input and this output."""
     _check_letters(w)
     step = _AUTOMATA.get(spec.bodies).step
     sid = 0
     stack: tuple[int, ...] = ()
     out: list[int] = []
+    counts = None if trace is None else trace.sigma_pops
     for x in w:
         pops, sid, _, _ = step(sid, stack, x)
         if pops:
             out.extend(stack[:pops])
-            if trace is not None:
-                trace.steps.extend((1, "pop", v) for v in stack[:pops])
         stack = (x,) + stack[pops:]
-        if trace is not None:
-            trace.steps.append((1, "push", x))
+        if counts is not None:
+            counts.append(pops)
     out.extend(stack)
+    first = tuple(out)
     if trace is not None:
-        trace.steps.extend((1, "pop", v) for v in stack)
-    return tuple(out)
+        trace.input = tuple(w)
+        trace.first_output = first
+    return first
 
 
 def stack21_output(w: Sequence[int],
                    trace: MachineTrace | None = None) -> Word:
-    """Classical 21-stack pass: equal letters may sit on each other."""
+    """Classical 21-stack pass: equal letters may sit on each other.  A
+    ``trace`` gets the pop count of every push and this output."""
     stack: list[int] = []
     out: list[int] = []
+    # with a trace: the output length at each push
+    marks: list[int] | None = None if trace is None else []
     for x in w:
         while stack and stack[-1] < x:
-            v = stack.pop()
-            out.append(v)
-            if trace is not None:
-                trace.steps.append((2, "pop", v))
+            out.append(stack.pop())
         stack.append(x)
-        if trace is not None:
-            trace.steps.append((2, "push", x))
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        if trace is not None:
-            trace.steps.append((2, "pop", v))
-    return tuple(out)
+        if marks is not None:
+            marks.append(len(out))
+    out.extend(reversed(stack))
+    final = tuple(out)
+    if trace is not None:
+        trace.stack21_pops.extend(map(sub, marks, [0, *marks]))
+        trace.final_output = final
+    return final
 
 
 def machine_run(w: Sequence[int], spec: MachineSpec,
                 with_trace: bool = False) -> tuple[Word, MachineTrace | None]:
     """Run the full two-stack machine; returns (final output, trace)."""
     w = tuple(w)
-    trace = MachineTrace(input=w,
-                         sigma=tuple(format_pattern(p) for p in spec.sigma)) \
+    trace = MachineTrace(sigma=tuple(format_pattern(p) for p in spec.sigma)) \
         if with_trace else None
-    first = sigma_stack_output(w, spec, trace)
-    final = stack21_output(first, trace)
+    final = stack21_output(sigma_stack_output(w, spec, trace), trace)
     if trace is not None:
-        trace.first_output = first
-        trace.final_output = final
-        trace.sortable = all(final[i] <= final[i + 1]
-                             for i in range(len(final) - 1))
+        trace.sortable = all(map(le, final, final[1:]))
     return final, trace
 
 
@@ -653,6 +728,6 @@ def encode_labeled_path(w: Sequence[int], spec: MachineSpec) -> LabeledDyckPath:
     per push, a down step labeled ``a`` per pop.  Up labels read the input,
     down labels read the first-stack output."""
     trace = MachineTrace()
-    sigma_stack_output(w, spec, trace)
-    steps = tuple("U" if op == "push" else "D" for _, op, _ in trace.steps)
-    return LabeledDyckPath(steps, tuple(v for _, _, v in trace.steps))
+    out = sigma_stack_output(w, spec, trace)
+    steps, labels = _stack_ops(trace.input, out, trace.sigma_pops)
+    return LabeledDyckPath(tuple(steps), tuple(labels))

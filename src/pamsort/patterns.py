@@ -208,9 +208,13 @@ def format_steps(steps: Sequence[str]) -> str:
     return "".join(steps)
 
 
+# far more texts than the sigma texts of the machines one process queries
+@lru_cache(maxsize=256)
 def parse_pattern(text: str) -> Pattern:
     """Parse pattern text per the grammar; round-trips with
-    :func:`format_pattern`."""
+    :func:`format_pattern`.  Each text is parsed once (a bounded memo):
+    a :class:`Pattern` is frozen, so repeats share one object.  A text
+    that fails raises anew on every call."""
     text = text.strip()
     if not text:
         raise PatternParseError("empty pattern text")

@@ -1,7 +1,7 @@
 """Test helpers shared by several test modules: random domain words, a
-naive containment check, naive references for delta and its inverse,
-and the machines whose closed-form oracle is checked against brute
-force."""
+naive containment check, a naive two-stack run that logs every push and
+pop, naive references for delta and its inverse, and the machines whose
+closed-form oracle is checked against brute force."""
 
 import itertools
 import random
@@ -42,6 +42,34 @@ def naive_contains(seq, body):
                    for (a, p), (b, q) in itertools.combinations(
                        zip(sub, body), 2))
                for sub in itertools.combinations(seq, len(body)))
+
+
+def naive_trace(w, bodies):
+    """Every push and pop of the two-stack machine on ``w``, logged as
+    (stack, op, value) in the order they happen, stack 1 first, with the
+    first and the final output.  The first stack pops while the stack read
+    top to bottom, with the incoming letter on top, would contain a body;
+    the second pops while its top is below the incoming letter; each
+    drains when its input is read."""
+    steps = []
+
+    def run(number, word, must_pop):
+        stack, out = [], []
+        for x in word:
+            while stack and must_pop(stack, x):
+                out.append(stack.pop())
+                steps.append((number, "pop", out[-1]))
+            stack.append(x)
+            steps.append((number, "push", x))
+        while stack:
+            out.append(stack.pop())
+            steps.append((number, "pop", out[-1]))
+        return tuple(out)
+
+    first = run(1, w, lambda stack, x: any(
+        naive_contains([x] + stack[::-1], b) for b in bodies))
+    final = run(2, first, lambda stack, x: stack[-1] < x)
+    return steps, first, final
 
 
 def naive_delta(R):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import domain_words, naive_contains
+from helpers import domain_words, naive_contains, naive_trace
 from pamsort.bijections import av213_to_dyck
 from pamsort.enumeration import bell, fishburn, fubini
 import pamsort.machine as M
@@ -125,6 +125,50 @@ def test_trace_json_is_the_dict_form(w, bodies):
     _, trace = machine_run(w, spec(*bodies), with_trace=True)
     assert trace.to_json() == dict_form_json(trace)
     assert MachineTrace().to_json() == dict_form_json(MachineTrace())
+
+
+def test_trace_records_pop_counts():
+    _, trace = machine_run((2, 4, 1, 3), spec((2, 3, 1)), with_trace=True)
+    assert trace.sigma_pops == [0, 0, 0, 2]
+    assert trace.stack21_pops == [0, 1, 0, 0]
+    with pytest.raises(AttributeError):
+        trace.steps = []
+
+
+def test_stage_functions_fill_a_consistent_trace():
+    s = spec((2, 3, 1))
+    trace = MachineTrace()
+    first = sigma_stack_output([2, 4, 1, 3], s, trace)
+    assert (trace.input, trace.first_output) == ((2, 4, 1, 3), first)
+    assert [op for _, op, _ in trace.steps] == \
+        ["push"] * 3 + ["pop"] * 2 + ["push"] + ["pop"] * 2
+    final = stack21_output(first, trace)
+    assert trace.final_output == final
+    _, whole = machine_run([2, 4, 1, 3], s, with_trace=True)
+    assert trace.steps == whole.steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_trace_matches_naive_two_stack(data):
+    # lengths 0-16 with letters up to 20, on permutations (distinct
+    # letters) and Cayley words (ties), against a simulator that shares
+    # nothing with pamsort.machine
+    d = data.draw(st.sampled_from([Domain.PERM, Domain.CAYLEY]))
+    w = data.draw(st.lists(st.integers(1, 20), max_size=16,
+                           unique=d is Domain.PERM))
+    bodies = tuple(data.draw(st.lists(SIGMA_BODIES, min_size=1, max_size=2)))
+    steps, first, final = naive_trace(w, bodies)
+    _, trace = machine_run(w, spec(*bodies, domain=d), with_trace=True)
+    assert trace.steps == steps
+    assert (trace.first_output, trace.final_output) == (first, final)
+    assert json.loads(trace.to_json())["steps"] == [
+        {"stack": s, "op": op, "value": v} for s, op, v in steps]
+    assert trace.to_json() == json.dumps({
+        "input": w, "sigma": list(trace.sigma),
+        "steps": [{"stack": s, "op": op, "value": v} for s, op, v in steps],
+        "first_output": list(first), "final_output": list(final),
+        "sortable": list(final) == sorted(w)})
 
 
 def test_iter_domain_counts_and_order():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pamsort.enumeration import xi_count
-from pamsort.machine import iter_domain
+import pamsort.machine as M
+from pamsort.machine import MachineSpec, iter_domain
 from pamsort.patterns import (AT, GAP, NAMED, PatternKind, PatternParseError,
                               avoids, barred, bivincular, cayley_mesh,
                               classical, contains, contains_classical,
@@ -30,26 +31,53 @@ def test_parse_named_patterns():
         assert parse_pattern(f"@{name}") == NAMED[name]
 
 
+ROUND_TRIP_TEXTS = [
+    "231",
+    "mesh(132;(0,2),(2,0),(2,1))",
+    "bv(132;S={0,2};T={})",
+    "bv(231;S={1};T={1})",
+    "barred(35241;pos={2})",
+    "path(UDH2UD)",
+]
+
+BAD_TEXTS = ["", "2a1", "mesh(132;(0,9))", "bv(132;S={5};T={})",
+             "barred(35241;pos={})", "barred(35241;pos={1,2,3,4,5})",
+             "@nope", "mesh(132;(0,2)"]
+
+
 def test_parse_forms_round_trip():
-    texts = [
-        "231",
-        "mesh(132;(0,2),(2,0),(2,1))",
-        "bv(132;S={0,2};T={})",
-        "bv(231;S={1};T={1})",
-        "barred(35241;pos={2})",
-        "path(UDH2UD)",
-    ]
-    for text in texts:
+    for text in ROUND_TRIP_TEXTS:
         p = parse_pattern(text)
         assert parse_pattern(format_pattern(p)) == p
 
 
 def test_parse_errors():
-    for bad in ["", "2a1", "mesh(132;(0,9))", "bv(132;S={5};T={})",
-                "barred(35241;pos={})", "barred(35241;pos={1,2,3,4,5})",
-                "@nope", "mesh(132;(0,2)"]:
+    for bad in BAD_TEXTS:
         with pytest.raises(PatternParseError):
             parse_pattern(bad)
+
+
+def test_parse_memo_shares_equal_patterns():
+    for text in ROUND_TRIP_TEXTS + ["@mu", " 231 "]:
+        p = parse_pattern(text)
+        assert parse_pattern(text) is p
+        assert p == parse_pattern.__wrapped__(text)
+
+
+def test_parse_memo_raises_on_every_repeat():
+    for bad in BAD_TEXTS:
+        with pytest.raises(PatternParseError) as first:
+            parse_pattern.__wrapped__(bad)
+        for _ in range(3):
+            with pytest.raises(PatternParseError) as again:
+                parse_pattern(bad)
+            assert str(again.value) == str(first.value)
+
+
+def test_whitespace_variants_share_one_automaton():
+    a, b = (MachineSpec((parse_pattern(t),)) for t in ("231", " 231 "))
+    assert a == b
+    assert M._AUTOMATA.get(a.bodies) is M._AUTOMATA.get(b.bodies)
 
 
 def test_classical_containment_examples():
