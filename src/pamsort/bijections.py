@@ -48,65 +48,23 @@ def _suffix_minima(w: Sequence[int]) -> list[int | float]:
     return low
 
 
-def _rgf_has_12231(R: Word) -> bool:
-    """Does the RGF ``R`` contain 12231?  In an RGF every letter below b
-    first occurs before the first b, so ``R`` contains 12231 iff some b
-    occurs twice, later a letter above b occurs, and after that a letter
-    below b.  The second copy of b leaves the most room, so only it is
-    tried; the scan for the larger letter ends where no letter below b
-    follows.
-
-    >>> _rgf_has_12231((1, 2, 2, 3, 1)), _rgf_has_12231((1, 2, 3, 2, 1))
-    (True, False)
-    """
-    low = _suffix_minima(R)
-    top = 0
-    tried: set[int] = set()
-    for q, b in enumerate(R):
-        if b > top:
-            top = b
-            continue
-        if b in tried:
-            continue
-        tried.add(b)
-        for j in range(q + 1, len(R) - 1):
-            if low[j + 1] >= b:
-                break
-            if R[j] > b:
-                return True
-    return False
-
-
-def _rgf_has_12321(R: Word) -> bool:
-    """Does the RGF ``R`` contain 12321?  In an RGF every letter below b
-    first occurs before the first b, so ``R`` contains 12321 iff some b
-    recurs after a letter above b, and a letter below b follows.
-
-    >>> _rgf_has_12321((1, 2, 3, 2, 1)), _rgf_has_12321((1, 2, 2, 3, 1))
-    (True, False)
-    """
-    low = _suffix_minima(R)
-    top = 0
-    for q, b in enumerate(R):
-        if b < top and low[q + 1] < b:
-            return True
-        if b > top:
-            top = b
-    return False
-
-
-# The scans, valid on RGFs only, of the bodies that the maps avoid.
-_RGF_SCANS = {(1, 2, 2, 3, 1): _rgf_has_12231,
-              (1, 2, 3, 2, 1): _rgf_has_12321}
+# In an RGF every letter below b first occurs before the first b.  So an
+# RGF contains 12231 iff it has a 231 whose 2 repeats an earlier letter:
+# the first copies of its 1 and its 2 give the 12 of 12231.  And it
+# contains 12321 iff it contains 321: the first copies of its 1 and its 2
+# come before its 3.
+_RGF_CHECKS: dict[Word, Callable[[Word], bool]] = {
+    (1, 2, 2, 3, 1): lambda R: _first_repeat_231(R) is not None,
+    (1, 2, 3, 2, 1): lambda R: contains_classical(R, (3, 2, 1))}
 
 
 def _rgf(R: Sequence[int], avoid: Word = ()) -> Word:
     """``R`` as a tuple, checked to be an RGF that avoids the classical
-    pattern ``avoid`` (none if empty), a key of ``_RGF_SCANS``."""
+    pattern ``avoid`` (none if empty), a key of ``_RGF_CHECKS``."""
     R = tuple(R)
     if not is_member(R, Domain.RGF):
         raise ValueError(f"expected an RGF: {R}")
-    if avoid and _RGF_SCANS[avoid](R):
+    if avoid and _RGF_CHECKS[avoid](R):
         raise ValueError(f"RGF contains {format_word(avoid)}: {R}")
     return R
 
@@ -473,8 +431,6 @@ def rgfnr12321_to_av321(R: Sequence[int]) -> Word:
     for i, v in zip(other, svals):
         pi[i] = v
     rest = sorted(set(range(1, n + 1)) - set(svals))
-    if len(rest) != len(strict):
-        raise ValueError(f"RGF is outside the bijection's domain: {R}")
     for i, v in zip(strict, rest):
         pi[i] = v
     return tuple(pi)
@@ -537,17 +493,23 @@ def _first_repeat_231(w: Sequence[int]) -> tuple[int, int] | None:
     """The first two positions of the lexicographically first occurrence
     of 231 in ``w`` whose first letter repeats an earlier one, or None if
     there is none: the first repeated i1 with a larger letter after it
-    that a letter below ``w[i1]`` follows, then the first such i2.
+    that a letter below ``w[i1]`` follows, then the first such i2.  Only
+    the first repeat of each letter is tried: a later copy has fewer
+    letters after it, so it fails where the first one fails.
 
     >>> _first_repeat_231((1, 2, 3, 2, 4, 1)), _first_repeat_231((2, 3, 1))
     ((3, 4), None)
     """
     low = _suffix_minima(w)
     seen: set[int] = set()
+    tried: set[int] = set()
     for i1, v in enumerate(w):
+        if v in tried:
+            continue
         if v not in seen:
             seen.add(v)
             continue
+        tried.add(v)
         for i2 in range(i1 + 1, len(w) - 1):
             if low[i2 + 1] >= v:
                 break
@@ -559,7 +521,9 @@ def _first_repeat_231(w: Sequence[int]) -> tuple[int, int] | None:
 def _swap_until_avoided(R: Sequence[int], avoid: Word,
                         find: Callable[[list[int]], tuple[int, int] | None],
                         name: str) -> Word:
-    """Swap the two positions that ``find`` returns until it returns None."""
+    """Swap the two positions that ``find`` returns until it returns None.
+    ``delta`` and ``delta_inverse`` mirror each other: each rejects the
+    RGFs on which the other's search finds a swap (see ``_RGF_CHECKS``)."""
     R = _rgf(R, avoid)
     w = list(R)
     for _ in range(len(R) ** 3 + 1):

@@ -24,7 +24,7 @@ from .enumeration import (Method, SequenceId, count_sortable, golden_ids,
                           sequence_value, verify_golden)
 from .machine import MachineSpec, fertility, is_sortable, machine_run
 from .oracles import (FallbackRequired, UnsupportedError, classify,
-                      fertility_123, oracle_is_sortable, sorted_set)
+                      fertility_123, oracle_for, sorted_set)
 from .patterns import (Pattern, PatternKind, PatternParseError,
                        format_pattern, parse_pattern)
 from .paths_trees import format_path
@@ -180,7 +180,7 @@ def sortable_cmd(sigma: str, domain: str, method: str, strict: bool,
     if method == Method.BRUTE.value:
         ans = is_sortable(w, spec)
     else:
-        ans = _oracle_or_brute(lambda: oracle_is_sortable(w, spec),
+        ans = _oracle_or_brute(lambda: oracle_for(spec)(w),
                                lambda: is_sortable(w, spec), strict)
     click.echo("true" if ans else "false")
 

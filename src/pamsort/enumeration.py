@@ -325,8 +325,13 @@ def verify_golden(table_id: str, max_n: int | None = None,
     the ``sorted`` table the size of the sorted set.  Where the machine
     has a closed-form oracle, sortable counts up to n = 7 are
     cross-checked with it too.  Returns a JSON-able report with the first
-    divergence per row."""
+    divergence per row.  A key in ``rows`` that the table lacks raises
+    ``ValueError``."""
     table = golden_table(table_id)
+    unknown = sorted(set(rows or ()) - table.rows.keys())
+    if unknown:
+        raise ValueError(f"unknown rows of golden table {table_id!r}: "
+                         f"{', '.join(unknown)}")
     cap = max_n if max_n is not None else _DEFAULT_CAPS.get(table_id, 8)
     sorted_rows = table_id == "sorted"
     report_rows = []

@@ -15,7 +15,7 @@ from pamsort.bijections import (StoreMode, alpha_strip, av213_to_dyck,
                                 phi_add_max, rgf1221_to_dyck,
                                 rgfnr12321_to_av321, schroder_to_sort123,
                                 sort123_to_schroder)
-from pamsort.bijections import _rgf_has_12231, _rgf_has_12321
+from pamsort.bijections import _first_repeat_231
 from pamsort.machine import (MachineSpec, is_sortable, iter_domain,
                              sortable_words)
 from pamsort.oracles import _sort123_parts
@@ -163,20 +163,42 @@ def test_pattern_checks_reject_exactly_the_containing_inputs():
                     assert "outside the bijection's domain" in str(e), w
 
 
+def assert_rgf_checks_match(R, reference):
+    """On an RGF, 12231 is a 231 whose 2 repeats an earlier letter, and
+    12321 is a 321; ``reference(R, body)`` decides containment."""
+    assert ((_first_repeat_231(R) is not None)
+            == reference(R, (1, 2, 2, 3, 1))), R
+    assert contains_classical(R, (3, 2, 1)) == reference(R, (1, 2, 3, 2, 1)), R
+
+
 def test_rgf_scans_match_naive_on_short_rgfs():
     for n in range(9):
         for R in iter_domain(Domain.RGF, n):
-            assert _rgf_has_12231(R) == naive_contains(R, (1, 2, 2, 3, 1)), R
-            assert _rgf_has_12321(R) == naive_contains(R, (1, 2, 3, 2, 1)), R
+            assert_rgf_checks_match(R, naive_contains)
 
 
 def test_delta_maps_match_the_naive_reference():
     for n in range(9):
         for R in iter_domain(Domain.RGF, n):
-            if not _rgf_has_12231(R):
+            if not naive_contains(R, (1, 2, 2, 3, 1)):
                 assert delta(R) == naive_delta(R), R
-            if not _rgf_has_12321(R):
+            if not naive_contains(R, (1, 2, 3, 2, 1)):
                 assert delta_inverse(R) == naive_delta_inverse(R), R
+
+
+def test_rgf_maps_do_not_call_the_generic_search(monkeypatch):
+    import pamsort.patterns as P
+
+    def search(*args, **kwargs):
+        raise AssertionError("generic pattern search called")
+    monkeypatch.setattr(P, "_search", search)
+    for n in range(8):
+        for R in iter_domain(Domain.RGF, n):
+            for f in (eta_inverse, delta, delta_inverse, rgfnr12321_to_av321):
+                try:
+                    f(R)
+                except ValueError:
+                    pass
 
 
 def test_rgf1221_dyck_round_trip():
@@ -335,8 +357,7 @@ def test_rgf_scans_match_the_search_on_long_rgfs(R):
     # free RGFs of these lengths mostly contain both bodies; the two
     # avoiding strategies draw words that avoid one and may contain the
     # other
-    assert _rgf_has_12231(R) == contains_classical(R, (1, 2, 2, 3, 1))
-    assert _rgf_has_12321(R) == contains_classical(R, (1, 2, 3, 2, 1))
+    assert_rgf_checks_match(R, contains_classical)
 
 
 @settings(max_examples=40, deadline=None)

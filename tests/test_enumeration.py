@@ -189,6 +189,13 @@ def test_verify_golden_sorted_row_312():
     assert row["checked_upto"] == 6
 
 
+def test_verify_golden_rejects_unknown_rows():
+    with pytest.raises(ValueError, match="123-999"):
+        verify_golden("pairs", rows=["123-999"])
+    with pytest.raises(ValueError, match="'sorted': 999$"):
+        verify_golden("sorted", max_n=4, rows=["312", "999"])
+
+
 def test_verify_golden_report_is_jsonable():
     import json
     report = verify_golden("appendix_len3", max_n=5)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import domain_words
 from pamsort.words_core import (Domain, Which, complement, decreasing,
                                 direct_sum, format_word, identity, inflate,
                                 inverse, is_member, ltr_decompose, ltr_maxima,
@@ -86,6 +87,19 @@ def test_ltr_decompose():
     d = ltr_decompose((3, 5, 2, 4, 1), Which.MIN)
     assert d.pivots == (3, 2, 1)
     assert d.blocks == ((5,), (4,), ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.one_of(domain_words(Domain.PERM, 2, 12),
+                   domain_words(Domain.CAYLEY, 1, 12)),
+       which=st.sampled_from(Which))
+def test_ltr_decompose_reassembles(w, which):
+    d = ltr_decompose(w, which)
+    assert d.reassemble() == w
+    assert d.pivots == (ltr_minima(w) if which is Which.MIN
+                        else ltr_maxima(w))
+    with pytest.raises(ValueError, match="empty word"):
+        ltr_decompose((), which)
 
 
 def test_sums_and_symmetries():
