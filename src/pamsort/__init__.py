@@ -26,11 +26,10 @@ from .paths_trees import (LatticePath, PathKind, SuccessionRule,
                           iter_dyck, iter_motzkin, iter_schroder,
                           motzkin_path, parse_path, rule_catalog, rule_ids,
                           rule_level_counts, schroder_path)
-from .bijections import (LabeledMotzkinPath, StoreMode, alpha_strip,
-                         av213_to_dyck, av321_to_rgfnr12321, beta_motzkin,
-                         delta, delta_inverse, dyck_to_av213,
-                         dyck_to_rgf1221, eta, eta_inverse,
-                         parse_labeled_motzkin, phi_add_max,
+from .bijections import (StoreMode, alpha_strip, av213_to_dyck,
+                         av321_to_rgfnr12321, beta_motzkin, delta,
+                         delta_inverse, dyck_to_av213, dyck_to_rgf1221, eta,
+                         eta_inverse, parse_labeled_motzkin, phi_add_max,
                          rgf1221_to_dyck, rgfnr12321_to_av321,
                          schroder_to_sort123, sort123_to_schroder)
 from .enumeration import (GoldenTable, Method, SequenceId, count_sortable,

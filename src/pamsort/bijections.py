@@ -15,28 +15,16 @@ labeled-Motzkin encoding ``beta_motzkin`` is forward-only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
 
 from .machine import MachineSpec
 from .oracles import _sort123_parts, oracle_for
-from .paths_trees import (LatticePath, PathKind, dyck_path, matching,
-                          schroder_path)
+from .paths_trees import (LatticePath, PathKind, as_path, dyck_path,
+                          matching, parse_path, schroder_path)
 from .patterns import _NO_BOUND, classical, contains_classical
 from .words_core import (Domain, Word, format_word, inflate, is_member,
                          ltr_minima)
-
-Steps = tuple[str, ...]
-
-
-def _dyck(p: LatticePath | str | Sequence[str]) -> LatticePath:
-    if not isinstance(p, LatticePath):
-        p = dyck_path(p)
-    if p.kind is not PathKind.DYCK:
-        raise ValueError("expected a Dyck path")
-    return p
-
 
 def _suffix_minima(w: Sequence[int]) -> list[int | float]:
     """``low[j]`` is the least letter of ``w[j:]``; ``low[len(w)]`` lies
@@ -75,7 +63,7 @@ def _rgf(R: Sequence[int], avoid: Word = ()) -> Word:
 def dyck_to_av213(p: LatticePath | str | Sequence[str]) -> Word:
     """Label the down steps from right to left with 1..n; each up step
     inherits the label of its matching down step; read the up labels."""
-    p = _dyck(p)
+    p = as_path(PathKind.DYCK, p)
     # down steps up to and including each index
     downs = list(accumulate(s == "D" for s in p.steps))
     return tuple(len(p) // 2 - downs[d] + 1 for _, d in matching(p))
@@ -143,11 +131,7 @@ def sort123_to_schroder(pi: Sequence[int]) -> LatticePath:
 
 def schroder_to_sort123(p: LatticePath | str | Sequence[str]) -> Word:
     """Inverse of :func:`sort123_to_schroder`."""
-    if not isinstance(p, LatticePath):
-        p = schroder_path(p)
-    if p.kind is not PathKind.SCHRODER:
-        raise ValueError("expected a Schroeder path")
-    steps = p.steps
+    steps = as_path(PathKind.SCHRODER, p).steps
     r = 0
     while r < len(steps) and steps[r] == "H2":
         r += 1
@@ -157,7 +141,7 @@ def schroder_to_sort123(p: LatticePath | str | Sequence[str]) -> Word:
     middle = steps[r:len(steps) - s]
     if "H2" in middle:
         raise ValueError(f"not in the image of the encoding: {steps}")
-    rho = dyck_to_av213(dyck_path(middle)) if middle else ()
+    rho = dyck_to_av213(middle)
     w = (len(rho) + 1,) + rho
     for _ in range(s):
         w = phi_add_max(w)
@@ -257,7 +241,7 @@ def dyck_to_rgf1221(p: LatticePath | str | Sequence[str]) -> Word:
     Only down steps follow the rightmost peak, so once it is peeled the
     next one lies to its left: one backward scan finds every peak.
     """
-    steps = list(_dyck(p).steps)
+    steps = list(as_path(PathKind.DYCK, p).steps)
     if not steps:
         return ()
     tail_counts: list[int] = []
@@ -291,90 +275,35 @@ class StoreMode(enum.Enum):
     QUEUE = "queue"
 
 
-_MOTZKIN_TOKENS = ("U", "D", "H0", "H1", "H2")
+def parse_labeled_motzkin(text: str) -> LatticePath:
+    """Parse steps U, D, H0, H1, H2, optionally whitespace-separated."""
+    return parse_path(PathKind.LABELED_MOTZKIN, text)
 
 
-@dataclass(frozen=True)
-class LabeledMotzkinPath:
-    """Motzkin path whose horizontal steps carry labels 0, 1 or 2;
-    label 2 is forbidden at height zero."""
-
-    steps: Steps
-
-    def __post_init__(self) -> None:
-        h = 0
-        for s in self.steps:
-            if s not in _MOTZKIN_TOKENS:
-                raise ValueError(f"unknown step token {s!r}")
-            if s == "U":
-                h += 1
-            elif s == "D":
-                h -= 1
-                if h < 0:
-                    raise ValueError("path falls below the x-axis")
-            elif s == "H2" and h == 0:
-                raise ValueError("label 2 is forbidden at height zero")
-        if h != 0:
-            raise ValueError("path does not end on the x-axis")
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def parse_labeled_motzkin(text: str) -> LabeledMotzkinPath:
-    """Parse tokens U, D, H0, H1, H2, optionally whitespace-separated."""
-    toks: list[str] = []
-    i = 0
-    text = text.strip()
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "UD":
-            toks.append(c)
-            i += 1
-        elif c == "H" and i + 1 < len(text) and text[i + 1] in "012":
-            toks.append(text[i:i + 2])
-            i += 2
-        else:
-            raise ValueError(f"cannot parse labeled Motzkin path: {text!r}")
-    return LabeledMotzkinPath(tuple(toks))
-
-
-def beta_motzkin(p: LabeledMotzkinPath | str | Sequence[str],
+def beta_motzkin(p: LatticePath | str | Sequence[str],
                  mode: StoreMode = StoreMode.STACK) -> Word:
     """Decode a labeled Motzkin path of length n into an RGF of length
-    n+1; with a stack store the image avoids 12323, with a queue 12332."""
-    if isinstance(p, str):
-        p = parse_labeled_motzkin(p)
-    elif not isinstance(p, LabeledMotzkinPath):
-        p = LabeledMotzkinPath(tuple(p))
+    n+1; with a stack store the image avoids 12323, with a queue 12332.
+
+    The store holds one letter per unit of height, so a D step, or an H2
+    step (never at height zero), always finds it nonempty."""
+    p = as_path(PathKind.LABELED_MOTZKIN, p)
+    end = -1 if mode is StoreMode.STACK else 0
     R = [1]
     store: list[int] = []
-
-    def peek() -> int:
-        if not store:
-            raise ValueError("D or H2 with an empty store")
-        return store[-1] if mode is StoreMode.STACK else store[0]
-
     for s in p.steps:
         if s == "U":
             v = max(R) + 1
             R.append(v)
             store.append(v)
         elif s == "D":
-            R.append(peek())
-            if mode is StoreMode.STACK:
-                store.pop()
-            else:
-                store.pop(0)
+            R.append(store.pop(end))
         elif s == "H0":
             R.append(max(R) + 1)
         elif s == "H1":
             R.append(1)
         else:  # H2
-            R.append(peek())
+            R.append(store[end])
     return tuple(R)
 
 

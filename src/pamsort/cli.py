@@ -17,9 +17,9 @@ import click
 from .bijections import (StoreMode, alpha_strip, av213_to_dyck,
                          av321_to_rgfnr12321, beta_motzkin, delta,
                          delta_inverse, dyck_to_av213, dyck_to_rgf1221, eta,
-                         eta_inverse, parse_labeled_motzkin, phi_add_max,
-                         rgf1221_to_dyck, rgfnr12321_to_av321,
-                         schroder_to_sort123, sort123_to_schroder)
+                         eta_inverse, phi_add_max, rgf1221_to_dyck,
+                         rgfnr12321_to_av321, schroder_to_sort123,
+                         sort123_to_schroder)
 from .enumeration import (Method, SequenceId, count_sortable, golden_ids,
                           sequence_value, verify_golden)
 from .machine import MachineSpec, fertility, is_sortable, machine_run
@@ -256,12 +256,8 @@ _BIJECTIONS = {
         (lambda t: format_word(schroder_to_sort123(t))),
     "rgf1221-to-dyck": (lambda t: format_path(rgf1221_to_dyck(_word_arg(t)))),
     "dyck-to-rgf1221": (lambda t: format_word(dyck_to_rgf1221(t))),
-    "beta-stack":
-        (lambda t: format_word(beta_motzkin(parse_labeled_motzkin(t),
-                                            StoreMode.STACK))),
-    "beta-queue":
-        (lambda t: format_word(beta_motzkin(parse_labeled_motzkin(t),
-                                            StoreMode.QUEUE))),
+    "beta-stack": (lambda t: format_word(beta_motzkin(t, StoreMode.STACK))),
+    "beta-queue": (lambda t: format_word(beta_motzkin(t, StoreMode.QUEUE))),
     "rgfnr12321-to-av321":
         (lambda t: format_word(rgfnr12321_to_av321(_word_arg(t)))),
     "av321-to-rgfnr12321":

@@ -719,9 +719,6 @@ class LabeledDyckPath:
             if self.labels[i] != self.labels[j]:
                 raise ValueError("matching steps must share labels")
 
-    def step_word(self) -> str:
-        return "".join(self.steps)
-
 
 def encode_labeled_path(w: Sequence[int], spec: MachineSpec) -> LabeledDyckPath:
     """The labeled Dyck path of a Sigma-stack run: an up step labeled ``a``

@@ -1,7 +1,10 @@
-"""Lattice paths (Dyck, Motzkin, Schroeder) and succession-rule engines.
+"""Lattice paths (Dyck, Motzkin, Schroeder, labeled Motzkin) and
+succession-rule engines.
 
-Paths are step words over {U, D, H, H2}: U = (1,1), D = (1,-1), H = (1,0)
-(unit horizontal, Motzkin), H2 = (2,0) (double horizontal, Schroeder).
+Paths are step words over {U, D, H, H0, H1, H2}: U = (1,1), D = (1,-1),
+H = (1,0) (unit horizontal, Motzkin), H2 = (2,0) (double horizontal,
+Schroeder).  A labeled Motzkin path writes its unit horizontal steps H0,
+H1 and H2 by their label, and H2 never sits at height zero.
 A succession rule is an axiom label plus a production function; iterating
 it breadth-first yields the level sizes of the associated generating tree.
 
@@ -24,19 +27,21 @@ from .patterns import format_steps, parse_steps
 
 Steps = tuple[str, ...]
 
-_DELTA = {"U": 1, "D": -1, "H": 0, "H2": 0}
+_DELTA = {"U": 1, "D": -1, "H": 0, "H0": 0, "H1": 0, "H2": 0}
 
 
 class PathKind(enum.Enum):
     DYCK = "dyck"
     MOTZKIN = "motzkin"
     SCHRODER = "schroder"
+    LABELED_MOTZKIN = "labeled motzkin"
 
 
 _ALLOWED = {
     PathKind.DYCK: {"U", "D"},
     PathKind.MOTZKIN: {"U", "D", "H"},
     PathKind.SCHRODER: {"U", "D", "H2"},
+    PathKind.LABELED_MOTZKIN: {"U", "D", "H0", "H1", "H2"},
 }
 
 
@@ -49,6 +54,8 @@ class LatticePath:
 
     def __post_init__(self) -> None:
         allowed = _ALLOWED[self.kind]
+        # the step that may not lie on the x-axis, if the kind has one
+        lifted = "H2" if self.kind is PathKind.LABELED_MOTZKIN else None
         h = 0
         for i, s in enumerate(self.steps):
             if s not in allowed:
@@ -56,8 +63,12 @@ class LatticePath:
                     f"step {s!r} not allowed in a {self.kind.value} path"
                 )
             h += _DELTA[s]
-            if h < 0:
-                raise ValueError(f"path falls below the x-axis at step {i}")
+            if h <= 0:
+                if h < 0:
+                    raise ValueError(
+                        f"path falls below the x-axis at step {i}")
+                if s == lifted:
+                    raise ValueError("label 2 is forbidden at height zero")
         if h != 0:
             raise ValueError("path does not end on the x-axis")
 
@@ -74,26 +85,34 @@ class LatticePath:
         return format_steps(self.steps)
 
 
-def dyck_path(text: str | Sequence[str]) -> LatticePath:
-    return LatticePath(PathKind.DYCK, _as_steps(text))
+def as_path(kind: PathKind, p: LatticePath | str | Sequence[str]
+            ) -> LatticePath:
+    """``p`` as a path of ``kind``: a path of that kind as it is, step text
+    parsed (:func:`~pamsort.patterns.parse_steps`), a step sequence
+    validated."""
+    if isinstance(p, LatticePath):
+        if p.kind is not kind:
+            raise ValueError(
+                f"expected a {kind.value} path, got a {p.kind.value} path")
+        return p
+    return LatticePath(kind, parse_steps(p) if isinstance(p, str)
+                       else tuple(p))
 
 
-def motzkin_path(text: str | Sequence[str]) -> LatticePath:
-    return LatticePath(PathKind.MOTZKIN, _as_steps(text))
+def dyck_path(text: LatticePath | str | Sequence[str]) -> LatticePath:
+    return as_path(PathKind.DYCK, text)
 
 
-def schroder_path(text: str | Sequence[str]) -> LatticePath:
-    return LatticePath(PathKind.SCHRODER, _as_steps(text))
+def motzkin_path(text: LatticePath | str | Sequence[str]) -> LatticePath:
+    return as_path(PathKind.MOTZKIN, text)
 
 
-def _as_steps(text: str | Sequence[str]) -> Steps:
-    if isinstance(text, str):
-        return parse_steps(text)
-    return tuple(text)
+def schroder_path(text: LatticePath | str | Sequence[str]) -> LatticePath:
+    return as_path(PathKind.SCHRODER, text)
 
 
 def parse_path(kind: PathKind, text: str) -> LatticePath:
-    return LatticePath(kind, parse_steps(text))
+    return as_path(kind, text)
 
 
 def format_path(p: LatticePath) -> str:

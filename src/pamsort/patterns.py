@@ -183,22 +183,15 @@ def _parse_intset(text: str) -> frozenset[int]:
 
 
 def parse_steps(text: str) -> tuple[str, ...]:
-    """Parse a step word such as ``"UUDH2D"`` or ``"U D H2"``."""
+    """Parse a step word such as ``"UUDH2D"`` or ``"U H0 D"`` over the
+    steps U, D, H, H0, H1 and H2, skipping whitespace.  Which steps a path
+    may take is left to its kind (``paths_trees.LatticePath``)."""
     steps: list[str] = []
-    i = 0
-    text = text.replace(" ", "")
-    while i < len(text):
-        c = text[i]
-        if c in "UD":
+    for i, c in enumerate("".join(text.split())):
+        if c in "UDH":
             steps.append(c)
-            i += 1
-        elif c == "H":
-            if i + 1 < len(text) and text[i + 1] == "2":
-                steps.append("H2")
-                i += 2
-            else:
-                steps.append("H")
-                i += 1
+        elif c in "012" and steps and steps[-1] == "H":
+            steps[-1] = "H" + c   # a label right after an unlabeled H
         else:
             raise PatternParseError(f"invalid path step {c!r}", i)
     return tuple(steps)

@@ -17,6 +17,8 @@ def perm_word(rng: random.Random, n: int) -> tuple[int, ...]:
     shares: free, decreasing with up to three adjacent swaps, or a skew
     sum of increasing runs.  Free long permutations are seldom sortable
     by the machines whose sortable sets lie near the decreasing word."""
+    if n <= 1:
+        return tuple(range(1, n + 1))   # the one permutation: no swap, no cut
     shape = rng.randrange(3)
     if shape == 0:
         return tuple(rng.sample(range(1, n + 1), n))

@@ -184,6 +184,23 @@ def test_malformed_input_exit_statuses():
             assert "not a member of domain perm" in r.stderr, (cmd, word)
 
 
+def test_path_input_exit_statuses():
+    # path text that does not tokenize is a parse error (2); a well-formed
+    # step word of the wrong shape or kind is a domain error (1)
+    beta = ("beta-stack", "beta-queue")
+    for bid in ("dyck-to-av213", "dyck-to-rgf1221", "schroder-to-sort123",
+                *beta):
+        for text in ("UX", "H3", "U?D"):
+            r = run("bijection", bid, text)
+            assert r.exit_code == 2 and r.stdout == "", (bid, text)
+            assert "parse error:" in r.stderr, (bid, text)
+        wrong = ["UDD", "DU"] + (["H2"] if bid in beta else ["UH0D"])
+        for text in wrong:
+            r = run("bijection", bid, text)
+            assert r.exit_code == 1 and r.stdout == "", (bid, text)
+            assert r.stderr.startswith("error:"), (bid, text)
+
+
 def test_verify_command_small():
     r = run("verify", "appendix_len3", "--max-n", "5")
     assert r.exit_code == 0
@@ -214,4 +231,4 @@ def test_readme_quick_tour():
         assert r.exit_code == 0, line
         assert " ".join(r.stdout.split()) == want, line
         checked += 1
-    assert checked == 6
+    assert checked == 7

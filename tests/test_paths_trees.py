@@ -1,5 +1,7 @@
 """Unit tests for lattice paths and succession rules."""
 
+import itertools
+
 import pytest
 
 from pamsort.paths_trees import (LatticePath, PathKind, count_dyck_bounded,
@@ -9,6 +11,7 @@ from pamsort.paths_trees import (LatticePath, PathKind, count_dyck_bounded,
                                  motzkin_path, parse_path, peaks, rule_catalog,
                                  rule_ids, rule_level_counts, schroder_path)
 from pamsort.enumeration import catalan
+from pamsort.patterns import parse_steps
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127]
 SCHRODER = [1, 2, 6, 22, 90, 394]
@@ -33,6 +36,38 @@ def test_invalid_paths_rejected():
         motzkin_path("UH2D")   # H2 is not a Motzkin step
     with pytest.raises(ValueError):
         dyck_path("UXD")
+
+
+def test_validator_and_tokenizer_match_naive_check():
+    # every step word of length <= 6 over the six steps, for every kind
+    allowed = {PathKind.DYCK: "U D", PathKind.MOTZKIN: "U D H",
+               PathKind.SCHRODER: "U D H2",
+               PathKind.LABELED_MOTZKIN: "U D H0 H1 H2"}
+    rise = {"U": 1, "D": -1}
+
+    def naive_ok(kind, word):
+        h = 0
+        for s in word:
+            if s not in allowed[kind].split():
+                return False
+            h += rise.get(s, 0)
+            if h < 0 or (kind is PathKind.LABELED_MOTZKIN and s == "H2"
+                         and h == 0):
+                return False
+        return h == 0
+
+    steps = ("U", "D", "H", "H0", "H1", "H2")
+    for n in range(7):
+        for word in itertools.product(steps, repeat=n):
+            for sep in ("", " ", " \t\n"):
+                assert parse_steps(sep.join(word)) == word, (sep, word)
+            for kind in PathKind:
+                try:
+                    LatticePath(kind, word)
+                    ok = True
+                except ValueError:
+                    ok = False
+                assert ok == naive_ok(kind, word), (kind, word)
 
 
 def test_path_statistics():

@@ -90,7 +90,7 @@ def test_ltr_decompose():
 
 
 @settings(max_examples=200, deadline=None)
-@given(w=st.one_of(domain_words(Domain.PERM, 2, 12),
+@given(w=st.one_of(domain_words(Domain.PERM, 1, 12),
                    domain_words(Domain.CAYLEY, 1, 12)),
        which=st.sampled_from(Which))
 def test_ltr_decompose_reassembles(w, which):
