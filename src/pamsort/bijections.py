@@ -15,6 +15,7 @@ labeled-Motzkin encoding ``beta_motzkin`` is forward-only.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -288,18 +289,23 @@ def beta_motzkin(p: LatticePath | str | Sequence[str],
     The store holds one letter per unit of height, so a D step, or an H2
     step (never at height zero), always finds it nonempty."""
     p = as_path(PathKind.LABELED_MOTZKIN, p)
-    end = -1 if mode is StoreMode.STACK else 0
+    store: deque[int] = deque()
+    if mode is StoreMode.STACK:
+        end, take = -1, store.pop
+    else:
+        end, take = 0, store.popleft
     R = [1]
-    store: list[int] = []
+    top = 1     # max(R): D, H1 and H2 never write above it
     for s in p.steps:
         if s == "U":
-            v = max(R) + 1
-            R.append(v)
-            store.append(v)
+            top += 1
+            R.append(top)
+            store.append(top)
         elif s == "D":
-            R.append(store.pop(end))
+            R.append(take())
         elif s == "H0":
-            R.append(max(R) + 1)
+            top += 1
+            R.append(top)
         elif s == "H1":
             R.append(1)
         else:  # H2

@@ -18,8 +18,9 @@ deepest second letter of an anchored occurrence of some body of Sigma.
 
 That scan compares letters only by their order, so it runs once per
 transition of a lazily grown automaton over stack patterns, one per set
-of bodies and kept across calls in a bounded cache (``_AUTOMATA``); the
-per-word simulator and every walk of the domain step through it.
+of bodies and kept across calls in a bounded cache (``_AUTOMATA``), whose
+states are built only when a run steps from them; the per-word simulator
+and every walk of the domain step through it.
 
 >>> from .patterns import classical
 >>> spec = MachineSpec((classical((2, 3, 1)),))
@@ -255,41 +256,43 @@ def _push(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]
 # pattern writes rank r as 2 r, so that ``x`` can stand as 2 i + 1 between
 # two ranks, or as 2 i + 2 on rank i + 1: either way ``x`` is 1 + the
 # symbol.
+#
+# Target states are built on first use.  Most are never stepped from: the
+# last letter of a word leads to one, and so does a push whose subtree the
+# walk prunes.  So a new transition holds ~key, its own key in ``moves``,
+# as its next state (below zero, unlike every state id).  The first step
+# from there builds the state from the stack it is given, or finds it by
+# its pattern, and writes its id into the transition; a run that holds
+# ~key reads the id from there.
 
 _Transition = tuple[int, int, bool, int]
 
 
 class _Automaton:
     """The lazily grown sigma-stack automaton of one set of bodies.
-    State 0 is the empty stack."""
+    State 0 is the empty stack; a transition is built the first time it
+    is taken, and the state it leads to the first time a run steps from
+    there."""
 
     __slots__ = ("bodies", "patterns", "ids", "ranks", "moves")
 
     def __init__(self, bodies: tuple[Word, ...]) -> None:
         self.bodies = bodies
         # per state: its pattern, with the letters 2, 4, ..., 2m
-        self.patterns: list[Word] = []
-        self.ids: dict[Word, int] = {}
+        self.patterns: list[Word] = [()]
+        self.ids: dict[Word, int] = {(): 0}
         # per state: the topmost position of each distinct letter, by rank
-        self.ranks: list[tuple[int, ...]] = []
+        self.ranks: list[tuple[int, ...]] = [()]
         # the transitions built so far, keyed by symbol << 32 | state: no
         # process holds 2**32 states
         self.moves: dict[int, _Transition] = {}
-        self._state((), 0)
-
-    def _state(self, pattern: Word, m: int) -> int:
-        sid = self.ids.get(pattern)
-        if sid is None:
-            sid = self.ids[pattern] = len(self.patterns)
-            self.patterns.append(pattern)
-            top = dict(zip(pattern[::-1], range(len(pattern) - 1, -1, -1)))
-            self.ranks.append(tuple(map(top.__getitem__,
-                                        range(2, 2 * m + 1, 2))))
-        return sid
 
     def step(self, sid: int, stack: tuple[int, ...], x: int) -> _Transition:
         """The transition that pushing ``x`` onto ``stack`` (in state
-        ``sid``) takes."""
+        ``sid``, or in the one that the placeholder ``sid`` stands for)
+        takes."""
+        if sid < 0:
+            sid = self._target(~sid, stack)
         ranks = self.ranks[sid]
         i = bisect_left(ranks, x, key=stack.__getitem__)
         sym = 2 * i + (i < len(ranks) and stack[ranks[i]] == x)
@@ -300,21 +303,42 @@ class _Automaton:
 
     def _build(self, sid: int, sym: int) -> _Transition:
         x = sym + 1
+        key = sym << 32 | sid
         new, popped = _push(self.patterns[sid], x, self.bodies)
+        # one pass over the letters kept under x
         split = above = False
-        for y in new[1:]:
+        low = 0
+        for p in range(1, len(new)):
+            y = new[p]
             if y > x:
                 above = True
-            elif y < x and above:
-                split = True
-                break
-        letters = sorted(set(new))
-        pattern = tuple([2 * bisect_left(letters, y) + 2 for y in new])
-        t = self.moves[sym << 32 | sid] = (
-            len(popped), self._state(pattern, len(letters)), split,
-            new.index(letters[0]))
+            elif y < x:
+                if above:
+                    split = True
+                if y < new[low]:
+                    low = p
+        t = self.moves[key] = (len(popped), ~key, split, low)
         _AUTOMATA.grew(self)
         return t
+
+    def _target(self, key: int, stack: tuple[int, ...]) -> int:
+        """The state that transition ``key`` leads to, in which ``stack``
+        is: built, or found by its pattern, on first use."""
+        pops, sid, split, low = self.moves[key]
+        if sid >= 0:
+            return sid
+        # the topmost position of each distinct letter, and their ranks
+        top = dict(zip(stack[::-1], range(len(stack) - 1, -1, -1)))
+        letters = sorted(top)
+        rank = dict(zip(letters, range(2, 2 * len(letters) + 1, 2)))
+        pattern = tuple(map(rank.__getitem__, stack))
+        sid = self.ids.get(pattern)
+        if sid is None:
+            sid = self.ids[pattern] = len(self.patterns)
+            self.patterns.append(pattern)
+            self.ranks.append(tuple(map(top.__getitem__, letters)))
+        self.moves[key] = pops, sid, split, low
+        return sid
 
 
 class _AutomatonCache:
@@ -360,7 +384,10 @@ class _AutomatonCache:
 
 # Holds the 15 machines of a mixed query load at word lengths 8-16 (about
 # 3,800 transitions), or the last few machines of brute-force counts at
-# n = 7 (up to about 1,300 each).
+# n = 7 (up to about 1,300 each).  The bound counts transitions only:
+# target states are built on first use, so a brute-force count of a
+# length-5 body at n = 7 builds about 1,250 transitions but only about 190
+# states.
 _AUTOMATA = _AutomatonCache(bound=5120)
 
 

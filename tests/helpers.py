@@ -1,13 +1,14 @@
 """Test helpers shared by several test modules: random domain words, a
 naive containment check, a naive two-stack run that logs every push and
-pop, naive references for delta and its inverse, and the machines whose
-closed-form oracle is checked against brute force."""
+pop, naive references for delta, its inverse and beta, and the machines
+whose closed-form oracle is checked against brute force."""
 
 import itertools
 import random
 
 from hypothesis import strategies as st
 
+from pamsort.bijections import StoreMode
 from pamsort.patterns import classical, occurrences_of
 from pamsort.words_core import Domain, modify, standardize
 
@@ -99,6 +100,30 @@ def naive_delta_inverse(R):
             return tuple(w)
         i1, i2, _ = occs[0]
         w[i1], w[i2] = w[i2], w[i1]
+
+
+def naive_beta_motzkin(steps, mode):
+    """beta by its definition, with a list as the store and the maximum of
+    the RGF so far taken anew at every U and H0 step: decode the labeled
+    Motzkin path ``steps`` into an RGF, reading the store as a stack for
+    ``StoreMode.STACK`` and as a queue otherwise."""
+    end = -1 if mode is StoreMode.STACK else 0
+    R = [1]
+    store = []
+    for s in steps:
+        if s == "U":
+            v = max(R) + 1
+            R.append(v)
+            store.append(v)
+        elif s == "D":
+            R.append(store.pop(end))
+        elif s == "H0":
+            R.append(max(R) + 1)
+        elif s == "H1":
+            R.append(1)
+        else:  # H2
+            R.append(store[end])
+    return tuple(R)
 
 
 @st.composite

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (domain_words, naive_contains, naive_delta,
-                     naive_delta_inverse)
+from helpers import (domain_words, naive_beta_motzkin, naive_contains,
+                     naive_delta, naive_delta_inverse)
 from pamsort.bijections import (StoreMode, alpha_strip, av213_to_dyck,
                                 av321_to_rgfnr12321, beta_motzkin, delta,
                                 delta_inverse, dyck_to_av213, dyck_to_rgf1221,
@@ -240,6 +240,59 @@ def test_beta_images_are_pattern_avoiding_rgfs():
         w = beta_motzkin(lp, mode)
         assert is_member(w, Domain.RGF)
         assert not contains(w, pat)
+
+
+def labeled_motzkin_steps(n, h=0):
+    """Every labeled Motzkin path of length ``n`` that starts at height
+    ``h``, as a tuple of steps."""
+    if n == 0:
+        if h == 0:
+            yield ()
+        return
+    if h > n:
+        return
+    steps = ["U", "H0", "H1"] + (["D", "H2"] if h else [])
+    for s in steps:
+        for rest in labeled_motzkin_steps(n - 1, h + (s == "U") - (s == "D")):
+            yield (s,) + rest
+
+
+def random_labeled_motzkin(rng, n):
+    """A random labeled Motzkin path of length ``n``: each step is drawn
+    among those that still let the path return to height zero."""
+    steps, h = [], 0
+    for left in range(n, 0, -1):
+        allowed = ["H0", "H1"] if h < left else []
+        if h + 1 < left:
+            allowed.append("U")
+        if h:
+            allowed += ["D", "H2"] if h < left else ["D"]
+        s = rng.choice(allowed)
+        steps.append(s)
+        h += (s == "U") - (s == "D")
+    assert h == 0
+    return tuple(steps)
+
+
+def test_beta_matches_naive_reference():
+    # both store modes, every labeled Motzkin path of length <= 7, then
+    # seeded random paths of length 50-400
+    counts = []
+    for n in range(8):
+        paths = list(labeled_motzkin_steps(n))
+        counts.append(len(paths))
+        for steps in paths:
+            for mode in StoreMode:
+                assert beta_motzkin(steps, mode) == \
+                    naive_beta_motzkin(steps, mode), (steps, mode)
+    # as many paths as 12323-avoiding RGFs of length n + 1 (A007317)
+    assert counts == [1, 2, 5, 15, 51, 188, 731, 2950]
+    rng = random.Random(2026)
+    for _ in range(60):
+        steps = random_labeled_motzkin(rng, rng.randint(50, 400))
+        lp = parse_labeled_motzkin("".join(steps))
+        for mode in StoreMode:
+            assert beta_motzkin(lp, mode) == naive_beta_motzkin(steps, mode)
 
 
 def test_alpha_strip():

@@ -413,7 +413,9 @@ def naive_split(new):
 def test_automaton_matches_pop_rule(d, data):
     # every push of a run, taken through a fresh automaton, against the
     # pop kernel, the naive pop count and the naive drain prune on the
-    # stack the naive machine holds at that point
+    # stack the naive machine holds at that point; the state each push is
+    # taken from is read after the step, which builds it from a placeholder
+    # on first use
     w = data.draw(domain_words(d, 6, 12))
     bodies = tuple(data.draw(st.lists(SIGMA_BODIES, min_size=1, max_size=2)))
     auto = _Automaton(bodies)
@@ -421,8 +423,12 @@ def test_automaton_matches_pop_rule(d, data):
     for i, x in enumerate(w):
         _, bottom_first = naive_stack_run(w[:i], bodies)
         stack = tuple(bottom_first[::-1])
+        pops, nxt, split, low = auto.step(sid, stack, x)
+        if sid < 0:
+            sid = auto.moves[~sid][1]
+        assert sid >= 0
         assert auto.patterns[sid] == tuple(2 * r for r in standardize(stack))
-        pops, sid, split, low = auto.step(sid, stack, x)
+        sid = nxt
         assert pops == _must_pop(stack, x, bodies) == \
             naive_pop_count(bottom_first, x, bodies), (stack, x)
         new = (x,) + stack[pops:]
@@ -455,6 +461,58 @@ def test_automaton_cache_evicts_within_its_bound(monkeypatch):
     cache.bound = 1
     assert sortable_count(specs[0], 5) == want[0]
     assert cache.total == 0 and not cache.automata
+
+
+def stepped_from(auto):
+    """The states of ``auto`` that some built transition leaves."""
+    return {key & (1 << 32) - 1 for key in auto.moves}
+
+
+@pytest.mark.parametrize("walk", ["sortable", "outputs", "fertility"])
+@pytest.mark.parametrize("d, bodies", [
+    (Domain.PERM, ((1, 2, 3, 4, 5),)), (Domain.PERM, ((1, 3, 2, 4),)),
+    (Domain.PERM, ((1, 3, 2), (3, 2, 1))), (Domain.CAYLEY, ((2, 1),)),
+    (Domain.RGF, ((1, 2, 1),))], ids=["perm-12345", "perm-1324",
+                                      "perm-132,321", "cay-21", "rgf-121"])
+def test_cold_walks_build_only_states_they_step_from(monkeypatch, walk, d,
+                                                     bodies):
+    s = spec(*bodies, domain=d)
+    n = 6
+    cache = _AutomatonCache(bound=10 ** 9)
+    monkeypatch.setattr(M, "_AUTOMATA", cache)
+    if walk == "sortable":
+        sortable_count(s, n)
+    elif walk == "outputs":
+        list(machine_outputs(s, n))
+    else:
+        w = naive_sigma_stack(tuple(iter_domain(d, n))[-1], bodies)
+        assert fertility(w, s)[0] >= 1
+    auto = cache.get(s.bodies)
+    assert stepped_from(auto) == set(range(len(auto.patterns)))
+    assert len(auto.patterns) < len(auto.moves)
+
+
+def test_cold_walk_leaves_placeholders_that_later_runs_resolve(monkeypatch):
+    # perm/12345 at n = 7: most pushes from a 6-letter stack are the last
+    # letter of a word, so their targets are never built
+    bodies = ((1, 2, 3, 4, 5),)
+    s = spec(*bodies)
+    cache = _AutomatonCache(bound=10 ** 9)
+    monkeypatch.setattr(M, "_AUTOMATA", cache)
+    assert sortable_count(s, 7) == 391
+    auto = cache.get(s.bodies)
+    assert (len(auto.patterns), len(auto.moves)) == (180, 1157)
+    assert 4 * len(auto.patterns) < len(auto.moves)
+    # warm after cold: the simulator steps from the placeholders the walk
+    # left behind, on the same automaton
+    for n in range(8):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert sigma_stack_output(w, s) == naive_sigma_stack(w, bodies)
+    assert cache.get(s.bodies) is auto
+    assert stepped_from(auto) == set(range(len(auto.patterns)))
+    # each placeholder names its own transition
+    for key, (_, sid, _, _) in auto.moves.items():
+        assert sid == ~key or 0 < sid < len(auto.patterns)
 
 
 def test_patched_pop_rule_is_not_masked_by_the_automaton(monkeypatch):
