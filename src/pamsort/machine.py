@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from collections import OrderedDict
 from itertools import islice, permutations
 from operator import le, sub
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import (Callable, Collection, Iterable, Iterator, Sequence,
+                    TypeVar)
 
 from .paths_trees import LatticePath, PathKind, matching
 from .patterns import (_NO_BOUND, Pattern, PatternKind, _complete, _has_231,
@@ -383,12 +384,15 @@ class _AutomatonCache:
 
 
 # Holds the 15 machines of a mixed query load at word lengths 8-16 (about
-# 3,800 transitions), or the last few machines of brute-force counts at
-# n = 7 (up to about 1,300 each).  The bound counts transitions only:
-# target states are built on first use, so a brute-force count of a
-# length-5 body at n = 7 builds about 1,250 transitions but only about 190
-# states.
-_AUTOMATA = _AutomatonCache(bound=5120)
+# 3,800 transitions), or the six length-3 machines that whole-domain scans
+# of permutations at n = 7 go through (1,275 transitions each, 7,650 in
+# all): at 5,120 only four of them fit, and a scan that cycles through all
+# six rebuilt about 1,060 transitions per round of them.  Brute-force
+# counts over a hundred and more machines still rebuild most of theirs.
+# The bound counts transitions only: target states are built on first use,
+# so a brute-force count of a length-5 body at n = 7 builds about 1,250
+# transitions but only about 190 states.
+_AUTOMATA = _AutomatonCache(bound=8192)
 
 
 def sigma_stack_output(w: Sequence[int], spec: MachineSpec,
@@ -492,14 +496,16 @@ def _check_guard(d: Domain, n: int, max_n: int | None) -> None:
             "pass max_n (CLI: --max-n) to override")
 
 
-def _extensions(d: Domain, n: int, prefix: list[int],
-                used: dict[int, int], state: tuple[int, int]) -> Iterator[int]:
+def _extensions(d: Domain, n: int, prefix: tuple[int, int],
+                used: Collection[int], state: tuple[int, int]
+                ) -> Iterator[int]:
     """Legal next letters for a length-n word of domain ``d``.
 
-    ``used`` maps letters to multiplicities; ``state`` carries
-    (current max, current ascent count).
+    ``prefix`` is (length of the prefix, its last letter); ``used`` holds
+    the letters read (only membership and the number of distinct letters
+    are asked); ``state`` carries (current max, current ascent count).
     """
-    k = len(prefix)
+    k, last = prefix
     cur_max, ascents = state
     if d is Domain.PERM:
         for v in range(1, n + 1):
@@ -530,7 +536,7 @@ def _extensions(d: Domain, n: int, prefix: list[int],
                     continue
             elif v > 1:
                 leftmost = v not in used
-                ascent_top = prefix[-1] < v
+                ascent_top = last < v
                 if leftmost != ascent_top:
                     continue
         yield v
@@ -561,7 +567,8 @@ def _descend(d: Domain, n: int, step: Callable[[_S, int], _S | None] | None,
         return
     leaf = len(prefix) == n - 1
     top, ascents = shape
-    for v in _extensions(d, n, prefix, used, shape):
+    for v in _extensions(d, n, (len(prefix), prefix[-1] if prefix else 0),
+                         used, shape):
         child = state
         if step is not None:
             child = step(state, v)
@@ -595,32 +602,56 @@ def iter_domain(d: Domain, n: int, max_n: int | None = None) -> Iterator[Word]:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force engines (shared-prefix walks over the domain)
+# Brute-force engines
 #
 # The first stack pops from the top, so the letters on it leave in top-down
 # order after everything already emitted: "output so far + stack read
 # top-down" (the drain, ``out + stack`` for a top-first stack) is a
 # subsequence of the final output.  The walks that want a constrained
 # output prune on the drain, not only on the emitted letters.
+#
+# A walk step is made per run by a factory from the automaton's ``step``:
+# ``_output_step`` follows the first-stack map, ``_sortable_step`` also
+# prunes the prefixes whose drain contains 231.  Both states are tuples
+# with the stack first and the emitted letters last.  Two engines take
+# them: ``_walk``, the prefix tree, for what depends on the input
+# (sortable words and counts, input and output pairs, preimages), and
+# ``_level_walk``, over distinct states, for the image and the sorted set.
 
+_OutputState = tuple[tuple[int, ...], int, Word]
 _SortState = tuple[tuple[int, ...], int, _Detector, Word]
+_AutomatonStep = Callable[[int, tuple[int, ...], int], _Transition]
 
 
-def _sortable_walk(spec: MachineSpec, n: int
-                   ) -> Iterator[tuple[Word, _SortState]]:
-    """The sortable length-n words, each with its state (stack, automaton
-    state, 231 detector of the emitted letters, emitted letters).
+def _output_step(push: _AutomatonStep
+                 ) -> Callable[[_OutputState, int], _OutputState]:
+    """The walk step of the first-stack map, on the state (stack,
+    automaton state, emitted letters)."""
 
-    A subtree is pruned once its drain contains 231.  Pushing ``x`` pops
-    the letters P and leaves the rest R of the stack under it, so the drain
-    E.P.R of the parent (E the letters emitted before) becomes E.P.x.R.
-    The parent's drain avoids 231, so a new occurrence uses ``x``, as
+    def step(state: _OutputState, v: int) -> _OutputState:
+        stack, sid, out = state
+        pops, sid, _, _ = push(sid, stack, v)
+        return (v,) + stack[pops:], sid, out + stack[:pops]
+
+    return step
+
+
+def _sortable_step(push: _AutomatonStep
+                   ) -> Callable[[_SortState, int], _SortState | None]:
+    """The walk step that keeps the prefixes whose drain avoids 231, on the
+    state (stack, automaton state, 231 detector of the emitted letters,
+    emitted letters).
+
+    Pushing ``x`` pops the letters P and leaves the rest R of the stack
+    under it, so the drain E.P.R of the parent (E the letters emitted
+    before) becomes E.P.x.R.  The parent's drain avoids 231, so a new
+    occurrence uses ``x``, as
     (a) the 1: ``x`` is below the detector's threshold once P is fed;
     (b) the 3: some letter of E.P lies strictly between min(R) and ``x``;
     (c) the 2: in R a letter above ``x`` sits above a letter below ``x``.
-    Every leaf is then sortable: its drain is its first-stack output.
+    Every full-length word it keeps is then sortable: its drain is its
+    first-stack output.
     """
-    push = _AUTOMATA.get(spec.bodies).step
 
     def step(state: _SortState, v: int) -> _SortState | None:
         stack, sid, detector, out = state
@@ -644,7 +675,14 @@ def _sortable_walk(spec: MachineSpec, n: int
             return None
         return stack, sid, detector, out
 
-    return _walk(spec.domain, n, ((), 0, ((), 0), ()), step)
+    return step
+
+
+def _sortable_walk(spec: MachineSpec, n: int
+                   ) -> Iterator[tuple[Word, _SortState]]:
+    """The sortable length-n words, each with its state."""
+    return _walk(spec.domain, n, ((), 0, ((), 0), ()),
+                 _sortable_step(_AUTOMATA.get(spec.bodies).step))
 
 
 def sortable_count(spec: MachineSpec, n: int,
@@ -666,14 +704,7 @@ def machine_outputs(spec: MachineSpec, n: int,
     """Yield (input, first-stack output) over the whole domain at length n,
     sharing machine state across common prefixes."""
     _check_guard(spec.domain, n, max_n)
-    push = _AUTOMATA.get(spec.bodies).step
-
-    def step(state: tuple[Word, int, Word], v: int
-             ) -> tuple[Word, int, Word]:
-        stack, sid, out = state
-        pops, sid, _, _ = push(sid, stack, v)
-        return (v,) + stack[pops:], sid, out + stack[:pops]
-
+    step = _output_step(_AUTOMATA.get(spec.bodies).step)
     return ((w, out + stack)
             for w, (stack, _, out) in _walk(spec.domain, n, ((), 0, ()),
                                             step))
@@ -713,19 +744,95 @@ def fertility(w: Sequence[int], spec: MachineSpec,
     return len(preimages), preimages
 
 
+# Sets by distinct state
+#
+# What a prefix can still emit depends only on its letters emitted, its
+# stack and what the domain rule reads of it: the letters read (the
+# emitted ones and the stack's), their maximum, the last letter read
+# (always the top of the stack) and, on ascent sequences, the ascent
+# count.  So the prefixes that share (emitted letters, stack, ascent
+# count) share their futures, and a walk that wants only the set of
+# drains advances one dict of distinct states a letter at a time, one
+# step call and one dict store per child.  The ascent count stays 0 off
+# the ascent domains, where the rule does not read it.
+
+# The levels grown below one frontier state.  Past n = 8 the first n - 8
+# levels are merged in one dict, and each distinct state there then grows
+# its own subtree, so memory holds the result, the frontier and the levels
+# of one subtree, not the widest level of the whole walk.
+_SUBTREE_LEVELS = 8
+
+_Key = tuple[Word, tuple[int, ...], int]
+
+
+def _next_letters(d: Domain, n: int, out: Word, stack: tuple[int, ...],
+                  ascents: int) -> Iterable[tuple[int, Iterable[int]]]:
+    """The letters that may follow a prefix that emitted ``out``, holds
+    ``stack`` and has ``ascents`` ascents, in runs (ascent count after the
+    letter, letters)."""
+    used = set(out)
+    used.update(stack)
+    # the letter read last is the top of the stack
+    last = stack[0] if stack else 0
+    letters = _extensions(d, n, (len(out) + len(stack), last),
+                          used, (max(used, default=0), ascents))
+    if d not in (Domain.ASC, Domain.MODASC) or not stack:
+        return (ascents, letters),
+    letters = list(letters)
+    return ((ascents, [v for v in letters if v <= last]),
+            (ascents + 1, [v for v in letters if v > last]))
+
+
+def _grow(d: Domain, n: int, step: Callable[[_S, int], _S | None],
+          level: dict[_Key, _S], start: int, stop: int) -> dict[_Key, _S]:
+    """Advance ``level``, the distinct states of the prefixes of length
+    ``start``, to those of length ``stop``.  Each level is emptied while
+    the next one grows, so that a state is freed once its children are
+    stored."""
+    # on perm the letters left are the ones not read, in one set difference
+    letters = frozenset(range(1, n + 1)) if d is Domain.PERM else None
+    for _ in range(start, stop):
+        grown: dict[_Key, _S] = {}
+        while level:
+            (out, stack, ascents), state = level.popitem()
+            runs = (((0, letters.difference(out, stack)),)
+                    if letters is not None
+                    else _next_letters(d, n, out, stack, ascents))
+            for after, run in runs:
+                for v in run:
+                    child = step(state, v)
+                    if child is not None:
+                        grown[child[-1], child[0], after] = child
+        level = grown
+    return level
+
+
+def _level_walk(d: Domain, n: int, root: _S,
+                step: Callable[[_S, int], _S | None]) -> Iterator[_S]:
+    """The states of the length-n words of domain ``d`` that ``step``
+    keeps, one per distinct (emitted letters, stack, ascent count)."""
+    cut = max(n - _SUBTREE_LEVELS, 0)
+    frontier = _grow(d, n, step, {((), (), 0): root}, 0, cut)
+    for key, state in frontier.items():
+        yield from _grow(d, n, step, {key: state}, cut, n).values()
+
+
 def image_set(spec: MachineSpec, n: int, sorted_only: bool = False,
               max_n: int | None = None) -> set[Word]:
     """Image of the first-stack map on the length-n domain; with
     ``sorted_only`` intersect with the 231-avoiding words (the sorted set).
 
-    The full image scans the whole domain; the sorted set takes the
-    first-stack outputs of the sortable walk, which prunes on the drain.
+    Both walk the distinct states of the domain's prefixes; the sorted set
+    takes the sortable step, which prunes on the drain.
     """
-    if not sorted_only:
-        return {o for _, o in machine_outputs(spec, n, max_n)}
     _check_guard(spec.domain, n, max_n)
-    return {out + stack
-            for _, (stack, _, _, out) in _sortable_walk(spec, n)}
+    push = _AUTOMATA.get(spec.bodies).step
+    if sorted_only:
+        states = _level_walk(spec.domain, n, ((), 0, ((), 0), ()),
+                             _sortable_step(push))
+    else:
+        states = _level_walk(spec.domain, n, ((), 0, ()), _output_step(push))
+    return {state[-1] + state[0] for state in states}
 
 
 # ---------------------------------------------------------------------------

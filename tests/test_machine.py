@@ -316,11 +316,36 @@ def test_machine_outputs_matches_direct_map():
                 image = {out for _, out in direct}
                 sorted_image = {out for out in image
                                 if not naive_contains(out, (2, 3, 1))}
+                assert image_set(s, n) == image, (d, bodies, n)
                 assert image_set(s, n, sorted_only=True) == sorted_image, \
                     (d, bodies, n)
                 for w in sorted(set(words) | image):
                     pre = [u for u, out in direct if out == w]
                     assert fertility(w, s) == (len(pre), pre), (d, bodies, w)
+
+
+def test_level_walk_subtrees_match_direct_map(monkeypatch):
+    # past _SUBTREE_LEVELS letters the image and the sorted set grow one
+    # subtree per distinct state of the frontier; with 1 and 3 levels that
+    # path runs at these sizes, with every frontier depth from 0 to 5
+    cases = []
+    for d in Domain:
+        for n in range(0, 7):
+            words = naive_domain(d, n)
+            for bodies in WALK_SIGMAS:
+                if d is Domain.PERM and bodies == ((1, 1),):
+                    continue
+                image = {naive_sigma_stack(w, bodies) for w in words}
+                sorted_image = {out for out in image
+                                if not naive_contains(out, (2, 3, 1))}
+                cases.append((spec(*bodies, domain=d), n, image,
+                              sorted_image))
+    for levels in (1, 3):
+        monkeypatch.setattr(M, "_SUBTREE_LEVELS", levels)
+        for s, n, image, sorted_image in cases:
+            assert image_set(s, n) == image, (levels, s, n)
+            assert image_set(s, n, sorted_only=True) == sorted_image, \
+                (levels, s, n)
 
 
 # Property tests: random words of length 8-16 in every domain against the
