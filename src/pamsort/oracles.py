@@ -19,16 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 from typing import Callable, Sequence
 
 from .machine import MachineSpec, image_set, is_sortable
 from .paths_trees import catalan
-from .patterns import (_MESH_3241, NAMED, Pattern, PatternKind, _direct_scan,
-                       classical, contains, contains_classical,
-                       format_pattern)
-from .words_core import (Domain, Which, Word, decreasing, direct_sum,
-                         format_word, is_member, ltr_decompose, reverse,
-                         skew_sum, standardize)
+from .patterns import (_MESH_3241, _NO_BOUND, NAMED, Pattern, PatternKind,
+                       _direct_scan, _has_123, _has_231, _has_xi, classical,
+                       contains, contains_classical, format_pattern)
+from .words_core import (Domain, Word, decreasing, direct_sum, format_word,
+                         is_member, reverse, skew_sum, standardize)
 
 
 class FallbackRequired(Exception):
@@ -65,8 +65,14 @@ def sortable_123(w: Sequence[int]) -> bool:
         raise ValueError(f"sortable_123 takes distinct letters: {w}")
     if max(w, default=0) != len(w) or min(w, default=1) < 1:
         w = standardize(w)
+    return _sortable_123_perm(w)
+
+
+def _sortable_123_perm(w: Word) -> bool:
+    """Sort(123) on a permutation, unchecked: every maximum peeled by
+    :func:`_sort123_parts` is anchored and the rest avoids 213."""
     parts = _sort123_parts(w)
-    return parts is not None and not contains_classical(parts[2], (2, 1, 3))
+    return parts is not None and not _has_231(map(neg, parts[2]))
 
 
 def _sort123_parts(w: Word) -> tuple[int, int, Word] | None:
@@ -95,68 +101,73 @@ def _sort123_parts(w: Word) -> tuple[int, int, Word] | None:
 
 
 # ---------------------------------------------------------------------------
-# Pair oracles
-
-def _blocks_above_next(blocks: Sequence[Word]) -> bool:
-    """Every element of B_i greater than every element of B_{i+1}."""
-    for a, b in zip(blocks, blocks[1:]):
-        if a and b and min(a) <= max(b):
-            return False
-    return True
-
+# Pair oracles, one pass each over a permutation, unchecked
+#
+# Write w = m_1 B_1 m_2 B_2 ... m_t B_t, where m_1, ..., m_t are the ltr
+# minima (or the ltr maxima) of w and the block B_i is the letters
+# between m_i and m_{i+1}.
 
 def _sortable_123_132(w: Word) -> bool:
-    if not w:
+    """Sort(123, 132), by the ltr minima: B_1 increases and lies above
+    B_2; B_2 has no descent above m_1 and avoids 213; and the letters from
+    m_3 on lie below m_2 and avoid 213."""
+    n = len(w)
+    p = 1
+    while p < n and w[p] > w[p - 1]:
+        p += 1
+    if p >= n:
         return True
-    dec = ltr_decompose(w, Which.MIN)
-    m, B = dec.pivots, dec.blocks
-    if not _blocks_above_next(B):
+    m2 = w[p]
+    if m2 > w[0]:           # B_1 stops increasing before m_2
         return False
-    # blocks from the third on sit strictly below the previous minimum
-    for i in range(2, len(B)):
-        if B[i] and max(B[i]) >= m[i - 1]:
-            return False
-    B1 = B[0]
-    if any(B1[i] > B1[i + 1] for i in range(len(B1) - 1)):
+    q = p + 1
+    while q < n and w[q] > m2:
+        q += 1
+    block = w[p + 1:q]      # B_2
+    if block and (p > 1 and max(block) > w[1]
+                  or _has_xi((w[0],) + w[p:q])
+                  or _has_231(map(neg, block))):
         return False
-    if len(m) >= 2:
-        head = (m[0], m[1]) + B[1]
-        if contains(head, NAMED["xi"]):
-            return False
-        if contains_classical(head[1:], (2, 1, 3)):
-            return False
-    if len(m) >= 3:
-        tail: list[int] = []
-        for i in range(2, len(m)):
-            tail.append(m[i])
-            tail.extend(B[i])
-        if contains_classical(tail, (2, 1, 3)):
-            return False
-    return True
+    tail = w[q:]
+    return not tail or max(tail) < m2 and not _has_231(map(neg, tail))
 
 
 def _sortable_123_312(w: Word) -> bool:
-    if not w:
-        return True
-    n = len(w)
-    dec = ltr_decompose(w, Which.MAX)
-    M, B = dec.pivots, dec.blocks
-    t = len(M)
-    if any(M[j] != n - t + j + 1 for j in range(t)):
-        return False
-    if any(contains_classical(b, (2, 1, 3)) for b in B):
-        return False
-    # no 2-31 in the output and no 2-3-1 across three blocks: no letter of
-    # B_i lies strictly between min(B_k) and max(B_j), for i < j <= k
-    for i in range(t):
-        hi = 0  # the largest letter of B_{i+1} .. B_k
-        for k in range(i + 1, t):
-            if not B[k]:
-                continue
-            hi = max(hi, max(B[k]))
-            lo = min(B[k])
-            if any(lo < x < hi for x in B[i]):
+    """Sort(123, 312), by the ltr maxima: each is the one before it plus
+    1, no block contains 213, and no letters z < x < y lie in blocks B_k,
+    B_i and B_j with i < j <= k.
+
+    The scan keeps ``dom``, the largest x so far below a letter y of a
+    later block; a letter of the open block below it ends the scan.  A
+    letter becomes a candidate x only when its block closes, since a
+    larger letter of its own block is no y."""
+    top = 0                 # the last ltr maximum
+    seen: list[int] = []    # closed-block letters above dom, decreasing
+    dom = 0
+    block: list[int] = []   # the open block
+    low = third = _NO_BOUND  # its least letter, and its 213 scan
+    stack: list[int] = []
+    for v in w:
+        if v > top:
+            if top and v != top + 1:
                 return False
+            top = v
+            if block:
+                seen.extend(x for x in block if x > dom)
+                seen.sort(reverse=True)
+                block = []
+                stack = []
+                low = third = _NO_BOUND
+            continue
+        while seen and seen[-1] < v:
+            dom = seen.pop()
+        low = min(low, v)
+        if low < dom or v > third:
+            return False
+        while stack and stack[-1] > v:
+            third = stack.pop()
+        stack.append(v)
+        block.append(v)
     return True
 
 
@@ -210,22 +221,29 @@ def _avoider(first: Pattern, second: Pattern | None = None
     return lambda w: not (a(w) or b(w))
 
 
-_PAIR_ORACLES: dict[tuple[Word, ...], Callable[[Word], bool]] = {
+# Permutation machines with a predicate of their own: the structural
+# characterizations, and a basis scanned in another order than
+# _sortable_basis lists it.  No predicate checks letters.
+_PERM_ORACLES: dict[tuple[Word, ...], Callable[[Word], bool]] = {
+    ((1, 2, 3),): _sortable_123_perm,
+    # Sort(132) = Av(2314, mu), mu first: it ends sooner on most words
+    ((1, 3, 2),): _avoider(NAMED["mu"], classical((2, 3, 1, 4))),
     ((1, 2, 3), (1, 3, 2)): _sortable_123_132,
     ((1, 2, 3), (3, 1, 2)): _sortable_123_312,
-    ((1, 2, 3), (3, 2, 1)):
-        lambda w: sortable_123(w) and not contains_classical(w, (1, 2, 3)),
     ((1, 3, 2), (2, 3, 1)):
         _avoider(classical((1, 3, 2, 4)), classical((2, 3, 1, 4))),
     # the one-pass 123 check first: most long words fail it
+    ((1, 2, 3), (3, 2, 1)):
+        lambda w: not _has_123(w) and _sortable_123_perm(w),
     ((1, 3, 2), (3, 2, 1)): _avoider(classical((1, 2, 3)), NAMED["mu"]),
 }
 
 
 def oracle_for(spec: MachineSpec) -> Callable[[Word], bool]:
     """Closed-form sortability predicate for the machine, if one is known.
-    The predicate takes words of the machine's domain and is built once
-    per domain and set of bodies.
+    The predicate takes words of the machine's domain and does not check
+    them (:func:`oracle_is_sortable` does); it is built once per domain
+    and set of bodies.
 
     Raises :class:`FallbackRequired` for the open cases, on every call.
     """
@@ -238,14 +256,12 @@ def oracle_for(spec: MachineSpec) -> Callable[[Word], bool]:
 @lru_cache(maxsize=256)
 def _compiled_oracle(d: Domain, bodies: tuple[Word, ...]
                      ) -> Callable[[Word], bool] | None:
-    if d is Domain.PERM and bodies == ((1, 2, 3),):
-        return sortable_123
+    if d is Domain.PERM and bodies in _PERM_ORACLES:
+        return _PERM_ORACLES[bodies]
     if len(bodies) == 1:
         basis = _sortable_basis(bodies[0], d)
         if basis is not None:
             return _avoider(*basis)
-    elif d is Domain.PERM:
-        return _PAIR_ORACLES.get(bodies)
     return None
 
 

@@ -553,14 +553,15 @@ def _has_mu(x: Sequence[int]) -> bool:
     return False
 
 
-def _has_mesh_3241(x: Sequence[int]) -> bool:
+def _has_mesh_3241(x: Sequence[int], at_four: bool = False) -> bool:
     """Does ``x`` contain mesh(3241;(1,4)), a 3241 with no letter above
-    its 4 between its 3 and its 2?
+    its 4 between its 3 and its 2?  With ``at_four``, a letter equal to
+    the 4 there is barred as well.
 
     For each 2 (position b): a 4 must come before some later letter below
     the 2, so the best 4 is the largest letter before the last such
     letter.  The 3 is then sought right to left before b, and a letter
-    passed that is above that 4 ends the search.
+    passed that is above that 4 (or at it) ends the search.
 
     >>> _has_mesh_3241((3, 2, 4, 1)), _has_mesh_3241((3, 5, 2, 4, 1))
     (True, False)
@@ -574,13 +575,26 @@ def _has_mesh_3241(x: Sequence[int]) -> bool:
         if d == b + 1:
             continue
         four = max(x[b + 1:d])
+        stop = four - at_four   # letters are integers
         for a in range(b - 1, -1, -1):
             v = x[a]
             if two < v < four:
                 return True
-            if v > four:
+            if v > stop:
                 break
     return False
+
+
+def _has_zeta(x: Sequence[int]) -> bool:
+    """Does ``x`` contain zeta = cmesh(3241;(1,gap:4),(1,at:4)), a 3241
+    with no letter at or above its 4 between its 3 and its 2?
+
+    >>> _has_zeta((3, 2, 4, 1)), _has_zeta((3, 4, 2, 4, 1))
+    (True, False)
+    >>> _has_zeta((3, 4, 2, 5, 1))   # 3 2 5 1 is an occurrence
+    True
+    """
+    return _has_mesh_3241(x, at_four=True)
 
 
 def _has_xi(x: Sequence[int]) -> bool:
@@ -622,6 +636,7 @@ _PATTERN_SCANS: dict[Pattern, Callable[[Sequence[int]], bool]] = {
     NAMED["mu"]: _has_mu,
     _MESH_3241: _has_mesh_3241,
     NAMED["xi"]: _has_xi,
+    NAMED["zeta"]: _has_zeta,
 }
 
 
@@ -744,8 +759,9 @@ def contains(w: Sequence[int], p: Pattern) -> bool:
     integers; a word with a letter below 1 raises ``ValueError``.
 
     Classical patterns go through :func:`contains_classical`, the mesh
-    patterns mu and mesh(3241;(1,4)) and the bivincular xi take a direct
-    scan, and every other pattern takes the backtracking search.
+    patterns mu and mesh(3241;(1,4)), the bivincular xi and the Cayley
+    mesh zeta take a direct scan, and every other pattern takes the
+    backtracking search.
     """
     w = tuple(w)
     if p.kind is PatternKind.CLASSICAL:

@@ -1,7 +1,8 @@
 """Test helpers shared by several test modules: random domain words, a
 naive containment check, a naive two-stack run that logs every push and
-pop, naive references for delta, its inverse and beta, and the machines
-whose closed-form oracle is checked against brute force."""
+pop, naive references for delta, its inverse, beta and the two structural
+pair oracles, and the machines whose closed-form oracle is checked
+against brute force."""
 
 import itertools
 import random
@@ -9,8 +10,10 @@ import random
 from hypothesis import strategies as st
 
 from pamsort.bijections import StoreMode
-from pamsort.patterns import classical, occurrences_of
-from pamsort.words_core import Domain, modify, standardize
+from pamsort.patterns import (NAMED, classical, contains, contains_classical,
+                              occurrences_of)
+from pamsort.words_core import (Domain, Which, ltr_decompose, modify,
+                                standardize)
 
 
 def perm_word(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -124,6 +127,75 @@ def naive_beta_motzkin(steps, mode):
         else:  # H2
             R.append(store[end])
     return tuple(R)
+
+
+def _blocks_above_next(blocks):
+    """Every element of B_i greater than every element of B_{i+1}."""
+    for a, b in zip(blocks, blocks[1:]):
+        if a and b and min(a) <= max(b):
+            return False
+    return True
+
+
+def naive_sortable_123_132(w):
+    """Sort(123, 132) on a permutation, read from its decomposition
+    m_1 B_1 m_2 B_2 ... by ltr minima block by block, as the
+    characterization states it."""
+    if not w:
+        return True
+    dec = ltr_decompose(w, Which.MIN)
+    m, B = dec.pivots, dec.blocks
+    if not _blocks_above_next(B):
+        return False
+    # blocks from the third on sit strictly below the previous minimum
+    for i in range(2, len(B)):
+        if B[i] and max(B[i]) >= m[i - 1]:
+            return False
+    B1 = B[0]
+    if any(B1[i] > B1[i + 1] for i in range(len(B1) - 1)):
+        return False
+    if len(m) >= 2:
+        head = (m[0], m[1]) + B[1]
+        if contains(head, NAMED["xi"]):
+            return False
+        if contains_classical(head[1:], (2, 1, 3)):
+            return False
+    if len(m) >= 3:
+        tail = []
+        for i in range(2, len(m)):
+            tail.append(m[i])
+            tail.extend(B[i])
+        if contains_classical(tail, (2, 1, 3)):
+            return False
+    return True
+
+
+def naive_sortable_123_312(w):
+    """Sort(123, 312) on a permutation, read from its decomposition
+    M_1 B_1 M_2 B_2 ... by ltr maxima block by block, as the
+    characterization states it."""
+    if not w:
+        return True
+    n = len(w)
+    dec = ltr_decompose(w, Which.MAX)
+    M, B = dec.pivots, dec.blocks
+    t = len(M)
+    if any(M[j] != n - t + j + 1 for j in range(t)):
+        return False
+    if any(contains_classical(b, (2, 1, 3)) for b in B):
+        return False
+    # no 2-31 in the output and no 2-3-1 across three blocks: no letter of
+    # B_i lies strictly between min(B_k) and max(B_j), for i < j <= k
+    for i in range(t):
+        hi = 0  # the largest letter of B_{i+1} .. B_k
+        for k in range(i + 1, t):
+            if not B[k]:
+                continue
+            hi = max(hi, max(B[k]))
+            lo = min(B[k])
+            if any(lo < x < hi for x in B[i]):
+                return False
+    return True
 
 
 @st.composite

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ORACLE_CASES, domain_words, perm_word
+from helpers import (ORACLE_CASES, domain_words, naive_sortable_123_132,
+                     naive_sortable_123_312, perm_word)
 from pamsort.enumeration import sort123_formula
 from pamsort.machine import (MachineSpec, image_set, is_sortable, iter_domain,
                              fertility, sortable_words)
@@ -106,6 +107,39 @@ def test_oracle_matches_machine_on_both_sides(bodies):
         answers.append(oracle_is_sortable(w, s))
         assert answers[-1] == is_sortable(w, s), w
     assert answers.count(True) >= 10 and answers.count(False) >= 10
+
+
+# The permutation oracles that whole-domain counts run, each with the
+# block-by-block reading of its characterization where it has one.
+SCAN_ORACLES = [
+    ([(1, 2, 3)], None), ([(1, 3, 2)], None),
+    ([(1, 2, 3), (1, 3, 2)], naive_sortable_123_132),
+    ([(1, 2, 3), (3, 1, 2)], naive_sortable_123_312),
+    ([(1, 2, 3), (3, 2, 1)], None),
+]
+
+
+def scan_corpus():
+    """Every permutation up to n = 8, then 3,000 seeded permutations of
+    length 9-16."""
+    for n in range(9):
+        yield from itertools.permutations(range(1, n + 1))
+    rng = random.Random(22)
+    for _ in range(3000):
+        yield perm_word(rng, rng.randint(9, 16))
+
+
+@pytest.mark.parametrize(
+    "bodies, reference", SCAN_ORACLES,
+    ids=[",".join("".join(map(str, p)) for p in b) for b, _ in SCAN_ORACLES])
+def test_scan_oracles_match_references_and_machine(bodies, reference):
+    s = MachineSpec(tuple(classical(b) for b in bodies))
+    pred = oracle_for(s)
+    for w in scan_corpus():
+        want = is_sortable(w, s)
+        assert pred(w) == want, w
+        if reference is not None:
+            assert reference(w) == want, w
 
 
 def test_classify_class_cases_perm():

@@ -271,11 +271,17 @@ def naive_mesh_3241(w):
     return False
 
 
-def searched_xi(w):
-    """xi = bv(132;S={0,2};T={}) by the backtracking search, the way
-    :func:`contains` answers the bivincular patterns without a scan."""
-    body, accept = _search_terms(w, NAMED["xi"])
-    return _search(w, body, accept)
+def searched(p):
+    """Containment of ``p`` by the backtracking search, the way
+    :func:`contains` answers the patterns without a direct scan."""
+    def search(w):
+        body, accept = _search_terms(w, p)
+        return _search(w, body, accept)
+    return search
+
+
+searched_xi = searched(NAMED["xi"])
+searched_zeta = searched(NAMED["zeta"])
 
 
 DIRECT_SCANS = [
@@ -285,6 +291,7 @@ DIRECT_SCANS = [
     (parse_pattern("@mu"), naive_mu),
     (parse_pattern("mesh(3241;(1,4))"), naive_mesh_3241),
     (parse_pattern("@xi"), searched_xi),
+    (parse_pattern("@zeta"), searched_zeta),
 ]
 
 
@@ -303,6 +310,12 @@ def test_xi_scan_matches_the_search_on_short_words():
     for n in range(7):
         for w in itertools.product(range(1, 5), repeat=n):
             assert contains(w, NAMED["xi"]) == searched_xi(w), w
+
+
+def test_zeta_scan_matches_the_search_on_cayley_words():
+    for n in range(7):
+        for w in iter_domain(Domain.CAYLEY, n):
+            assert contains(w, NAMED["zeta"]) == searched_zeta(w), w
 
 
 @pytest.mark.parametrize("pattern", [p for p, _ in DIRECT_SCANS],
