@@ -96,6 +96,14 @@ def _patterns(sigma: str) -> tuple[Pattern, ...]:
     return tuple(parse_pattern(s) for s in specs)
 
 
+def _single_body(sigma: str, command: str) -> Word:
+    """The body of ``--sigma`` read as a single classical pattern."""
+    pats = _patterns(sigma)
+    if len(pats) != 1 or pats[0].kind is not PatternKind.CLASSICAL:
+        raise ValueError(f"{command} takes a single classical pattern")
+    return pats[0].body
+
+
 def _spec(sigma: str, domain: str) -> MachineSpec:
     return MachineSpec(_patterns(sigma), _DOMAINS[domain])
 
@@ -192,10 +200,7 @@ def sortable_cmd(sigma: str, domain: str, method: str, strict: bool,
 @_errors
 def classify_cmd(sigma: str, domain: str, as_json: bool) -> None:
     """Class or non-class?  Prints the basis or a witness."""
-    pats = _patterns(sigma)
-    if len(pats) != 1 or pats[0].kind is not PatternKind.CLASSICAL:
-        raise ValueError("classify takes a single classical pattern")
-    c = classify(pats[0].body, _DOMAINS[domain])
+    c = classify(_single_body(sigma, "classify"), _DOMAINS[domain])
     if as_json:
         payload = {
             "sigma": list(c.sigma),
@@ -315,10 +320,8 @@ def fertility_cmd(sigma: str, domain: str, max_n: int | None, as_json: bool,
 def sorted_set_cmd(sigma: str, domain: str, n: int,
                    max_n: int | None) -> None:
     """Print sorted_n(sigma), one word per line."""
-    pats = _patterns(sigma)
-    if len(pats) != 1 or pats[0].kind is not PatternKind.CLASSICAL:
-        raise ValueError("sorted-set takes a single classical pattern")
-    words = sorted_set(pats[0].body, n, _DOMAINS[domain], max_n=max_n)
+    words = sorted_set(_single_body(sigma, "sorted-set"), n,
+                       _DOMAINS[domain], max_n=max_n)
     for w in sorted(words):
         click.echo(format_word(w))
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from .machine import MachineSpec, image_set, is_sortable
 from .paths_trees import catalan
 from .patterns import (_MESH_3241, _NO_BOUND, NAMED, Pattern, PatternKind,
-                       _direct_scan, _has_123, _has_231, _has_xi, classical,
+                       _has_123, _has_231, _has_xi, _resolve, classical,
                        contains, contains_classical, format_pattern)
 from .words_core import (Domain, Word, decreasing, direct_sum, format_word,
                          is_member, reverse, skew_sum, standardize)
@@ -209,15 +209,13 @@ def _sortable_basis(sigma: Word, domain: Domain) -> tuple[Pattern, ...] | None:
 def _avoider(first: Pattern, second: Pattern | None = None
              ) -> Callable[[Word], bool]:
     """Avoidance predicate of a basis of one or two patterns, on domain
-    words.  Each pattern is resolved once, to its direct scan or else to
-    :func:`contains`; the predicate checks no letters."""
-    def test(p: Pattern) -> Callable[[Word], bool]:
-        return _direct_scan(p) or (lambda w: contains(w, p))
-
-    a = test(first)
+    words.  Each pattern is resolved once (:func:`patterns._resolve`), to
+    its direct scan or else to its search; the predicate checks no
+    letters."""
+    a = _resolve(first)
     if second is None:
         return lambda w: not a(w)
-    b = test(second)
+    b = _resolve(second)
     return lambda w: not (a(w) or b(w))
 
 

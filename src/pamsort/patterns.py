@@ -169,9 +169,6 @@ NAMED: dict[str, Pattern] = {
 # ---------------------------------------------------------------------------
 # Parser / printer
 
-_SET_RE = re.compile(r"\{([^}]*)\}")
-
-
 def _parse_intset(text: str) -> frozenset[int]:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -369,7 +366,7 @@ def _search(x: Sequence[int], body: Word,
     takes (any one when ``accept`` is None).  Returns whether it stopped.
 
     The backtracking search behind every pattern query but the direct
-    scans (:func:`_direct_scan`): a loop over the positions of the first
+    scans (:func:`_resolve`): a loop over the positions of the first
     letter, each completed by :func:`_complete` along the body's plan.
     Letters are positive integers, since 0 is the bound below every letter.
     """
@@ -611,10 +608,35 @@ def _has_xi(x: Sequence[int]) -> bool:
     return any(one < b < a for a, b in zip(x[1:], x[2:]))
 
 
-# Direct scans for the classical bodies: the one-pass length-3 scans, by
-# reversal (right to left) and complement (negated letters) of 231 and
-# 123, and the pair scans of the hot oracle bases.
-_CLASSICAL_SCANS: dict[Word, Callable[[Sequence[int]], bool]] = {
+def _regions(p: Pattern) -> frozenset[Region] | None:
+    """The Cayley-mesh regions that shade the body of ``p``; None for the
+    barred and path patterns, which are no shading.  A mesh box (a, b) is
+    the gap region (a, (GAP, b)), as a mesh body is a permutation.  A
+    bivincular S gap s is an empty column, and a T gap t is the gap level t
+    shaded in every column: no letter lies strictly between the t-th and
+    (t+1)-st values of an occurrence."""
+    if p.kind is PatternKind.MESH:
+        return frozenset((a, (GAP, b)) for a, b in p.boxes)
+    if p.kind is PatternKind.BIVINCULAR:
+        columns = range(len(p.body) + 1)
+        return frozenset([r for s in p.S for r in full_column(p.body, s)]
+                         + [(c, (GAP, t)) for t in p.T for c in columns])
+    if p.kind in (PatternKind.BARRED, PatternKind.PATHCONSEC):
+        return None
+    return p.regions
+
+
+# Sort(21) = Av(2341, barred 35241 with the 5 barred): a 3241 with no
+# letter above its 4 between its 3 and its 2, the mesh pattern that shades
+# the barred letter's box.
+_MESH_3241 = mesh((3, 2, 4, 1), boxes=((1, 4),))
+
+# The direct scans, keyed by the classical body alone and by (body,
+# regions) for a shaded pattern, so that every spelling of a shape finds
+# its scan: the one-pass length-3 scans, by reversal (right to left) and
+# complement (negated letters) of 231 and 123, the pair scans of the hot
+# oracle bases, and the shaded patterns that the oracles check.
+_SCANS: dict[object, Callable[[Sequence[int]], bool]] = {
     (2, 3, 1): _has_231,
     (1, 3, 2): lambda x: _has_231(reversed(x)),
     (2, 1, 3): lambda x: _has_231(map(neg, x)),
@@ -624,28 +646,10 @@ _CLASSICAL_SCANS: dict[Word, Callable[[Sequence[int]], bool]] = {
     (1, 3, 2, 4): _has_1324,
     (2, 3, 1, 4): _has_2314,
     (2, 3, 4, 1): _has_2341,
+    **{(p.body, _regions(p)): scan for p, scan in (
+        (NAMED["mu"], _has_mu), (_MESH_3241, _has_mesh_3241),
+        (NAMED["xi"], _has_xi), (NAMED["zeta"], _has_zeta))},
 }
-
-# Sort(21) = Av(2341, barred 35241 with the 5 barred): a 3241 with no
-# letter above its 4 between its 3 and its 2, the mesh pattern that shades
-# the barred letter's box.
-_MESH_3241 = mesh((3, 2, 4, 1), boxes=((1, 4),))
-
-# Direct scans for the other patterns that the oracles check.
-_PATTERN_SCANS: dict[Pattern, Callable[[Sequence[int]], bool]] = {
-    NAMED["mu"]: _has_mu,
-    _MESH_3241: _has_mesh_3241,
-    NAMED["xi"]: _has_xi,
-    NAMED["zeta"]: _has_zeta,
-}
-
-
-def _direct_scan(p: Pattern) -> Callable[[Sequence[int]], bool] | None:
-    """The direct scan that answers containment of ``p``, or None where
-    only the backtracking search does.  A scan does not check letters."""
-    if p.kind is PatternKind.CLASSICAL:
-        return _CLASSICAL_SCANS.get(p.body)
-    return _PATTERN_SCANS.get(p)
 
 
 def contains_classical(x: Sequence[int], body: Word) -> bool:
@@ -660,55 +664,38 @@ def contains_classical(x: Sequence[int], body: Word) -> bool:
     >>> contains_classical((4, 2, 3, 1), (1, 2, 3))
     False
     """
-    scan = _CLASSICAL_SCANS.get(tuple(body))
+    scan = _SCANS.get(tuple(body))
     if scan is None:
         return _search(x, body)
     _check_letters(x)
     return scan(x)
 
 
-def _bivincular_ok(x: Sequence[int], p: Pattern, occ: Word) -> bool:
-    n = len(x)
-    pos = [0] + [i + 1 for i in occ] + [n + 1]  # 1-based with sentinels
-    vals = [0] + sorted(x[i] for i in occ) + [max(x) + 1 if x else 1]
-    for s in p.S:
-        if pos[s + 1] != pos[s] + 1:
-            return False
-    for t in p.T:
-        if vals[t + 1] != vals[t] + 1:
-            return False
-    return True
-
-
-def _shading_ok(x: Sequence[int], regions: Iterable[Region],
+def _shading_ok(x: Sequence[int], regions: frozenset[Region],
                 occ: Word) -> bool:
-    """Does the occurrence ``occ`` leave every Cayley-mesh region empty?"""
-    n = len(x)
-    pos = [0] + [i + 1 for i in occ] + [n + 1]
-    levels = sorted(set(x[i] for i in occ))  # v_1 < ... < v_m
-    m = len(levels)
-    for col, (rk, lvl) in regions:
-        lo_pos, hi_pos = pos[col], pos[col + 1]
-        for q in range(lo_pos + 1, hi_pos):
-            v = x[q - 1]
-            if rk == AT:
-                if v == levels[lvl - 1]:
-                    return False
-            else:
-                lo = levels[lvl - 1] if lvl >= 1 else 0
-                hi = levels[lvl] if lvl < m else None
-                if v > lo and (hi is None or v < hi):
-                    return False
+    """Does the occurrence ``occ`` leave every region empty?  A letter in
+    column c (between the letters of ``occ`` at c - 1 and c) lies at the
+    level (AT, j) when it equals the j-th least value of ``occ``, and
+    otherwise in the level (GAP, j), where j values of ``occ`` lie below."""
+    levels = sorted({x[i] for i in occ})
+    ends = (-1,) + occ + (len(x),)
+    for c in {c for c, _ in regions}:
+        for v in x[ends[c] + 1:ends[c + 1]]:
+            j = bisect_left(levels, v)
+            at = j < len(levels) and levels[j] == v
+            if (c, (AT, j + 1) if at else (GAP, j)) in regions:
+                return False
     return True
 
 
 def _search_terms(w: Word, p: Pattern
                   ) -> tuple[Word, Callable[[Word], bool] | None]:
     """The classical body to search ``w`` for and the predicate that makes
-    an occurrence of it a witness of ``p``.
+    an occurrence of it a witness of ``p`` (None when every occurrence is).
 
     For barred patterns the body is the non-barred reduct, and its
     occurrences that do NOT extend to the underlying pattern are witnesses.
+    Every other kind is its body and its shading (:func:`_regions`).
     """
     if p.kind is PatternKind.PATHCONSEC:
         raise ValueError("use path_contains for step words")
@@ -719,17 +706,28 @@ def _search_terms(w: Word, p: Pattern
                 lambda occ: extendable.add(tuple(occ[i] for i in free)))
         reduct = standardize(tuple(p.body[i] for i in free))
         return reduct, lambda occ: occ not in extendable
-    if p.kind is PatternKind.BIVINCULAR:
-        return p.body, lambda occ: _bivincular_ok(w, p, occ)
-    if p.kind is PatternKind.MESH:
-        # a mesh body is a permutation, so box (a, b) is the gap region
-        # (a, (GAP, b)), with the open levels below and above the word
-        regions: Iterable[Region] = [(a, (GAP, b)) for a, b in p.boxes]
-    elif p.kind is PatternKind.CAYLEYMESH:
-        regions = p.regions
-    else:
+    regions = _regions(p)
+    if not regions:
         return p.body, None
     return p.body, lambda occ: _shading_ok(w, regions, occ)
+
+
+@lru_cache(maxsize=256)
+def _resolve(p: Pattern) -> Callable[[Word], bool]:
+    """Containment of ``p`` on words whose letters are checked: the direct
+    scan of its body and shading, else the backtracking search.  Built once
+    per pattern; :func:`contains` and the oracles' predicates call it.  A
+    classical body without a scan goes through :func:`contains_classical`,
+    looked up when called."""
+    regions = _regions(p)
+    if regions is not None:
+        scan = _SCANS.get((p.body, regions) if regions else p.body)
+        if scan is not None:
+            return scan
+        if not regions:
+            body = p.body
+            return lambda w: contains_classical(w, body)
+    return lambda w: _search(w, *_search_terms(w, p))
 
 
 def occurrences_of(w: Sequence[int], p: Pattern) -> list[Word]:
@@ -758,21 +756,17 @@ def contains(w: Sequence[int], p: Pattern) -> bool:
     """Does ``w`` contain the pattern ``p``?  Letters are positive
     integers; a word with a letter below 1 raises ``ValueError``.
 
-    Classical patterns go through :func:`contains_classical`, the mesh
-    patterns mu and mesh(3241;(1,4)), the bivincular xi and the Cayley
-    mesh zeta take a direct scan, and every other pattern takes the
-    backtracking search.
+    Classical patterns go through :func:`contains_classical`.  Every
+    spelling of the mesh patterns mu and mesh(3241;(1,4)), the bivincular
+    xi and the Cayley mesh zeta takes a direct scan, and every other
+    pattern takes the backtracking search.
     """
     w = tuple(w)
     if p.kind is PatternKind.CLASSICAL:
         # one call of the function that traced runs count as a pattern check
         return contains_classical(w, p.body)
-    scan = _direct_scan(p)
-    if scan is not None:
-        _check_letters(w)
-        return scan(w)
-    body, accept = _search_terms(w, p)
-    return _search(w, body, accept)
+    _check_letters(w)
+    return _resolve(p)(w)
 
 
 def avoids(w: Sequence[int], *ps: Pattern) -> bool:

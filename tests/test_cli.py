@@ -116,6 +116,15 @@ def test_classify_text_and_json():
     assert data["witness"]["pattern"] == "132"
 
 
+def test_classify_and_sorted_set_take_one_classical_pattern():
+    for command, extra in (("classify", ()), ("sorted-set", ("--n", "3"))):
+        for sigma in ("132,321", "@mu"):
+            r = run(command, "--sigma", sigma, *extra)
+            assert r.exit_code == 1 and r.stdout == ""
+            assert r.stderr.strip() == \
+                f"error: {command} takes a single classical pattern"
+
+
 def test_sequence_command():
     r = run("sequence", "CATALAN", "--n", "5")
     assert r.exit_code == 0 and r.stdout.strip() == "42"

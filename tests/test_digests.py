@@ -1,5 +1,6 @@
 """Digests of the image and sorted sets and of the oracle verdicts over
-a fixed corpus of machines.
+a fixed corpus of machines, and of pattern containment over a fixed
+corpus of patterns.
 
 The naive references of ``test_machine.py`` pin correctness at small n;
 these digests pin the sets themselves at the sizes the engines serve, so
@@ -9,7 +10,10 @@ pairs on permutations up to n = 7, and the walk test's bodies on every
 other domain (Cayley words up to n = 5, the rest up to n = 7).  The
 oracle corpus is 300 seeded permutations of length 9-24 for each
 permutation machine of ``ORACLE_CASES``, and every Cayley word up to
-n = 6 for the Cayley 12- and 21-machines.
+n = 6 for the Cayley 12- and 21-machines.  The pattern corpus is every
+pattern of ``PATTERN_TEXTS``, one or more of each kind but path patterns,
+on every Cayley word up to n = 4 and 300 seeded Cayley words of length
+5-10.
 
 A change that alters a set on purpose regenerates the digests with
 
@@ -26,8 +30,9 @@ import random
 from helpers import ORACLE_CASES, perm_word
 from pamsort.machine import MachineSpec, image_set, iter_domain
 from pamsort.oracles import oracle_for
-from pamsort.patterns import classical
-from pamsort.words_core import Domain
+from pamsort.patterns import (classical, contains, occurrences_of,
+                              parse_pattern)
+from pamsort.words_core import Domain, standardize
 
 PERM_PAIRS = [((1, 2, 3), (1, 3, 2)), ((1, 2, 3), (3, 1, 2)),
               ((1, 2, 3), (3, 2, 1)), ((1, 3, 2), (2, 3, 1)),
@@ -41,7 +46,22 @@ DIGESTS = {
     "image": "c47072c106e37f0dc0dcc06f60c322c598b20cf1ff8ec20ba6a28b4bc90e0f25",
     "sorted": "a93581a56dd1bda83d3999fef44304e0087b9fca0e669f8dbe3c370e834dec40",
     "oracle": "211ee1a8f138218274d653d6c7465d6db3d181cc7b1fd9df1e50ee1fd0ef6666",
+    "patterns": "a1a1b32d3a2d43fe42068b8c2fd03caf69b5da6e183175b408f23877b0933f58",
 }
+
+# Every pattern kind but path patterns: bivincular T gaps at the bottom
+# level, an interior level and the top level, mesh and Cayley-mesh
+# regions, barred letters, and the named patterns.
+PATTERN_TEXTS = [
+    "231", "1324", "2413", "1212", "11",
+    "bv(12;S={};T={0})", "bv(132;S={1};T={1})", "bv(231;S={};T={3})",
+    "bv(2143;S={2};T={0,2,4})", "bv(21;S={0,2};T={})",
+    "mesh(12;(1,1))", "mesh(213;(0,0),(3,3))", "mesh(3241;(1,4))",
+    "cmesh(3241;(1,gap:4))", "cmesh(121;(1,at:1),(2,gap:0))",
+    "cmesh(2132;(2,gap:1),(0,at:3))",
+    "barred(35241;pos={2})", "barred(132;pos={1})",
+    "@xi", "@mu", "@f", "@zeta", "@a", "@b",
+]
 
 
 def corpus():
@@ -93,8 +113,34 @@ def oracle_digest():
     return h.hexdigest()
 
 
+def pattern_words():
+    """Every Cayley word up to n = 4, then 300 seeded Cayley words of
+    length 5-10."""
+    words = [w for n in range(5) for w in iter_domain(Domain.CAYLEY, n)]
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(5, 10)
+        words.append(standardize([rng.randint(1, n) for _ in range(n)]))
+    return words
+
+
+def pattern_digest():
+    """SHA-256 over one line per (pattern, word) of the pattern corpus:
+    the pattern, the word, the ``contains`` verdict and the
+    ``occurrences_of`` list."""
+    h = hashlib.sha256()
+    words = pattern_words()
+    for text in PATTERN_TEXTS:
+        p = parse_pattern(text)
+        for w in words:
+            h.update(f"{text} {w}: {contains(w, p):d} "
+                     f"{occurrences_of(w, p)}\n".encode())
+    return h.hexdigest()
+
+
 def digests():
-    return {**set_digests(), "oracle": oracle_digest()}
+    return {**set_digests(), "oracle": oracle_digest(),
+            "patterns": pattern_digest()}
 
 
 def test_image_set_digests():
@@ -103,6 +149,10 @@ def test_image_set_digests():
 
 def test_oracle_digest():
     assert oracle_digest() == DIGESTS["oracle"]
+
+
+def test_pattern_digest():
+    assert pattern_digest() == DIGESTS["patterns"]
 
 
 if __name__ == "__main__":

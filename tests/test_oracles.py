@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (ORACLE_CASES, domain_words, naive_sortable_123_132,
                      naive_sortable_123_312, perm_word)
+from pamsort.bijections import schroder_to_sort123
 from pamsort.enumeration import sort123_formula
 from pamsort.machine import (MachineSpec, image_set, is_sortable, iter_domain,
                              fertility, sortable_words)
@@ -119,14 +120,34 @@ SCAN_ORACLES = [
 ]
 
 
+def sort123_word(rng, n):
+    """A random member of Sort(123) of length n: the inverse of its
+    Schröder encoding on H2^r, a random Dyck path and H2^s."""
+    r, s = rng.randint(0, 3), rng.randint(0, 3)
+    m = n - 1 - r - s           # the semilength of the Dyck path
+    steps = []
+    ups = 0
+    while len(steps) < 2 * m:
+        if ups < m and (2 * ups == len(steps) or rng.random() < 0.5):
+            steps.append("U")
+            ups += 1
+        else:
+            steps.append("D")
+    return schroder_to_sort123(("H2",) * r + tuple(steps) + ("H2",) * s)
+
+
 def scan_corpus():
     """Every permutation up to n = 8, then 3,000 seeded permutations of
-    length 9-16."""
+    length 9-16 and 3,000 seeded members of Sort(123) of length 9-16.
+    Sort(123, 132) and Sort(123, 312) lie inside Sort(123), so the members
+    reach both sides of their borders; free permutations seldom do."""
     for n in range(9):
         yield from itertools.permutations(range(1, n + 1))
     rng = random.Random(22)
     for _ in range(3000):
         yield perm_word(rng, rng.randint(9, 16))
+    for _ in range(3000):
+        yield sort123_word(rng, rng.randint(9, 16))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Unit tests for the pattern grammar and containment semantics."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,10 @@ from pamsort.machine import MachineSpec, iter_domain
 from pamsort.patterns import (AT, GAP, NAMED, PatternKind, PatternParseError,
                               avoids, barred, bivincular, cayley_mesh,
                               classical, contains, contains_classical,
-                              format_pattern, mesh, occurrences_of,
-                              parse_pattern, path_contains, path_pattern)
-from pamsort.patterns import _search, _search_terms
+                              format_pattern, full_column, mesh,
+                              occurrences_of, parse_pattern, path_contains,
+                              path_pattern)
+from pamsort.patterns import _SCANS, _resolve, _search, _search_terms
 from pamsort.words_core import Domain, standardize
 
 
@@ -152,6 +154,72 @@ def test_bivincular_top_constraint_on_cayley_words():
         for w in iter_domain(Domain.CAYLEY, n):
             for p in pats:
                 assert occurrences_of(w, p) == naive_bivincular(w, p), (w, p)
+
+
+# Containment reads only the order of the letters, so a word and its
+# standardization contain the same patterns at the same positions: a
+# bivincular T gap asks that no letter lie strictly between two values,
+# not that they be consecutive integers.
+
+INVARIANCE_PATTERNS = {
+    "classical": ["231", "1212", "2413"],
+    "bivincular": ["bv(12;S={};T={0})", "bv(132;S={1};T={1})",
+                   "bv(231;S={};T={3})", "bv(21;S={0};T={2})",
+                   "bv(2143;S={2};T={})"],
+    "mesh": ["mesh(3241;(1,4))", "mesh(213;(0,0),(3,3))"],
+    "cayley-mesh": ["cmesh(3241;(1,gap:4))",
+                    "cmesh(121;(1,at:1),(2,gap:0))"],
+    "barred": ["barred(35241;pos={2})", "barred(132;pos={1})"],
+    "named": ["@xi", "@mu", "@f", "@zeta", "@a", "@b"],
+}
+
+
+def gapped_words(seed, count=300):
+    """Seeded words of length 0-9 over the letters 1-12: most skip values
+    and many repeat one."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 9)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind", sorted(INVARIANCE_PATTERNS))
+def test_containment_is_invariant_under_standardization(kind):
+    words = gapped_words(23)
+    for text in INVARIANCE_PATTERNS[kind]:
+        p = parse_pattern(text)
+        for w in words:
+            s = standardize(w)
+            assert contains(w, p) == contains(s, p), (text, w)
+            assert occurrences_of(w, p) == occurrences_of(s, p), (text, w)
+
+
+def test_bivincular_values_need_no_letter_between():
+    f = parse_pattern("@f")
+    assert contains((3, 4, 1), f) and contains((2, 3, 1), f)
+    # 45 then 2, or 78 then 2: the 3 or the 5 lies between the 1 and the 2
+    assert not contains((3, 1, 4, 5, 2), f)
+    assert not contains((5, 1, 7, 8, 2), f)
+    bottom = bivincular((1, 2), [], [0])
+    assert occurrences_of((2, 3), bottom) == [(0, 1)]
+    assert occurrences_of((2, 3, 1), bottom) == []
+
+
+XI_COLUMNS = cayley_mesh((1, 3, 2), full_column((1, 3, 2), 0)
+                         + full_column((1, 3, 2), 2))
+
+SPELLINGS = [
+    ("mesh(3241;(1,4))", "cmesh(3241;(1,gap:4))"),
+    ("@zeta", "cmesh(3241;(1,at:4),(1,gap:4))"),
+    ("@mu", "cmesh(132;(2,gap:1),(0,gap:2),(2,gap:0))"),
+    ("@xi", "bv(132;S={0,2};T={})", format_pattern(XI_COLUMNS)),
+    ("231", "mesh(231;)", "bv(231;S={};T={})", "cmesh(231;)"),
+]
+
+
+@pytest.mark.parametrize("texts", SPELLINGS, ids=lambda t: t[0])
+def test_every_spelling_of_a_scanned_shape_takes_its_scan(texts):
+    scans = {_resolve(parse_pattern(t)) for t in texts}
+    assert len(scans) == 1 and scans <= set(_SCANS.values())
 
 
 def test_barred_equals_mesh_3241():
