@@ -3,7 +3,7 @@ permutations, restricted growth functions and (modified) ascent
 sequences: machines, characterization oracles, bijections, generating
 trees, enumeration formulas and golden-table verification."""
 
-from .words_core import (Domain, Which, Word, complement,
+from .words_core import (Domain, ParseError, Which, Word, complement,
                          direct_sum, format_word, identity, inflate, inverse,
                          is_member, ltr_decompose, ltr_maxima, ltr_minima,
                          modify, parse_word, reverse, skew_sum, standardize,

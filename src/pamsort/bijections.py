@@ -345,22 +345,16 @@ def _split_strict_max_positions(R: Word) -> tuple[list[int], list[int]]:
 
 
 def rgfnr12321_to_av321(R: Sequence[int]) -> Word:
-    """Non-strict positions receive the values s_1 = r_{i_1},
-    s_j = s_{j-1} + (r_{i_j} - r_{i_{j-1}}) + 1; strict ltr-max positions
-    receive the remaining values in increasing order."""
+    """The j-th non-strict position i_j (from j = 0) receives the value
+    r_{i_j} + j; strict ltr-max positions receive the remaining values in
+    increasing order."""
     R = _rgf(R, (1, 2, 3, 2, 1))
     if not R:
         return ()
     strict, other = _split_strict_max_positions(R)
     n = len(R)
     pi = [0] * n
-    s = 0
-    prev = None
-    svals: list[int] = []
-    for i in other:
-        s = R[i] if prev is None else s + (R[i] - R[prev]) + 1
-        prev = i
-        svals.append(s)
+    svals = [R[i] + j for j, i in enumerate(other)]
     if len(set(svals)) != len(svals) or any(not 1 <= v <= n for v in svals):
         raise ValueError(f"RGF is outside the bijection's domain: {R}")
     for i, v in zip(other, svals):
@@ -379,19 +373,14 @@ def av321_to_rgfnr12321(pi: Sequence[int]) -> Word:
     if not w:
         return ()
     R = [0] * len(w)
-    m = 0
-    j = 0
-    prev_s = None
-    prev_r = 0
+    m = j = 0   # the ltr maximum and the strict positions read
     for i, v in enumerate(w):
         if v > m:
             m = v
             j += 1
             R[i] = j
-        else:
-            r = v if prev_s is None else prev_r + (v - prev_s) - 1
-            R[i] = r
-            prev_s, prev_r = v, r
+        else:   # the (i - j)-th non-strict position, from 0
+            R[i] = v - (i - j)
     out = tuple(R)
     if not is_member(out, Domain.RGF):
         raise ValueError(f"permutation is outside the bijection's image: {w}")

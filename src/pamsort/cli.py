@@ -23,19 +23,15 @@ from .bijections import (StoreMode, alpha_strip, av213_to_dyck,
 from .enumeration import (Method, SequenceId, count_sortable, golden_ids,
                           sequence_value, verify_golden)
 from .machine import MachineSpec, fertility, is_sortable, machine_run
-from .oracles import (FallbackRequired, UnsupportedError, classify,
-                      fertility_123, oracle_for, sorted_set)
-from .patterns import (Pattern, PatternKind, PatternParseError,
-                       format_pattern, parse_pattern)
+from .oracles import (FallbackRequired, classify, fertility_123, oracle_for,
+                      sorted_set)
+from .patterns import Pattern, PatternKind, format_pattern, parse_pattern
 from .paths_trees import format_path
-from .words_core import Domain, Word, format_word, is_member, parse_word
+from .words_core import (Domain, ParseError, Word, format_word, is_member,
+                         parse_word)
 
 _DOMAINS = {d.value: d for d in Domain}
 _T = TypeVar("_T")
-
-
-class _ParseFailure(Exception):
-    pass
 
 
 def _errors(f):
@@ -43,27 +39,20 @@ def _errors(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (PatternParseError, _ParseFailure) as exc:
+        except ParseError as exc:
             click.echo(f"parse error: {exc}", err=True)
             sys.exit(2)
         except FallbackRequired as exc:
             click.echo(f"error: no oracle available: {exc}", err=True)
             sys.exit(1)
-        except (ValueError, UnsupportedError) as exc:
+        except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
     return wrapper
 
 
-def _word_arg(text: str) -> Word:
-    try:
-        return parse_word(text)
-    except ValueError as exc:
-        raise _ParseFailure(str(exc)) from None
-
-
 def _domain_word(text: str, spec: MachineSpec) -> Word:
-    w = _word_arg(text)
+    w = parse_word(text)
     if not is_member(w, spec.domain):
         raise ValueError(
             f"{format_word(w)} is not a member of domain {spec.domain.value}")
@@ -92,7 +81,7 @@ def _split_sigma(text: str) -> list[str]:
 def _patterns(sigma: str) -> tuple[Pattern, ...]:
     specs = _split_sigma(sigma)
     if not all(specs):
-        raise _ParseFailure(f"empty pattern in --sigma {sigma!r}")
+        raise ParseError(f"empty pattern in --sigma {sigma!r}")
     return tuple(parse_pattern(s) for s in specs)
 
 
@@ -251,26 +240,26 @@ def sequence_cmd(sid: str, n: int, k: int | None) -> None:
 
 
 _BIJECTIONS = {
-    "eta": (lambda t: format_word(eta(_word_arg(t)))),
-    "eta-inverse": (lambda t: format_word(eta_inverse(_word_arg(t)))),
+    "eta": (lambda t: format_word(eta(parse_word(t)))),
+    "eta-inverse": (lambda t: format_word(eta_inverse(parse_word(t)))),
     "dyck-to-av213": (lambda t: format_word(dyck_to_av213(t))),
-    "av213-to-dyck": (lambda t: format_path(av213_to_dyck(_word_arg(t)))),
+    "av213-to-dyck": (lambda t: format_path(av213_to_dyck(parse_word(t)))),
     "sort123-to-schroder":
-        (lambda t: format_path(sort123_to_schroder(_word_arg(t)))),
+        (lambda t: format_path(sort123_to_schroder(parse_word(t)))),
     "schroder-to-sort123":
         (lambda t: format_word(schroder_to_sort123(t))),
-    "rgf1221-to-dyck": (lambda t: format_path(rgf1221_to_dyck(_word_arg(t)))),
+    "rgf1221-to-dyck": (lambda t: format_path(rgf1221_to_dyck(parse_word(t)))),
     "dyck-to-rgf1221": (lambda t: format_word(dyck_to_rgf1221(t))),
     "beta-stack": (lambda t: format_word(beta_motzkin(t, StoreMode.STACK))),
     "beta-queue": (lambda t: format_word(beta_motzkin(t, StoreMode.QUEUE))),
     "rgfnr12321-to-av321":
-        (lambda t: format_word(rgfnr12321_to_av321(_word_arg(t)))),
+        (lambda t: format_word(rgfnr12321_to_av321(parse_word(t)))),
     "av321-to-rgfnr12321":
-        (lambda t: format_word(av321_to_rgfnr12321(_word_arg(t)))),
-    "alpha-strip": (lambda t: format_word(alpha_strip(_word_arg(t)))),
-    "delta": (lambda t: format_word(delta(_word_arg(t)))),
-    "delta-inverse": (lambda t: format_word(delta_inverse(_word_arg(t)))),
-    "phi": (lambda t: format_word(phi_add_max(_word_arg(t)))),
+        (lambda t: format_word(av321_to_rgfnr12321(parse_word(t)))),
+    "alpha-strip": (lambda t: format_word(alpha_strip(parse_word(t)))),
+    "delta": (lambda t: format_word(delta(parse_word(t)))),
+    "delta-inverse": (lambda t: format_word(delta_inverse(parse_word(t)))),
+    "phi": (lambda t: format_word(phi_add_max(parse_word(t)))),
 }
 
 

@@ -23,11 +23,35 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .patterns import format_steps, parse_steps
+from .words_core import ParseError
 
 Steps = tuple[str, ...]
 
 _DELTA = {"U": 1, "D": -1, "H": 0, "H0": 0, "H1": 0, "H2": 0}
+
+
+def parse_steps(text: str) -> Steps:
+    """Parse a step word such as ``"UUDH2D"`` or ``"U H0 D"`` over the
+    steps U, D, H, H0, H1 and H2, skipping whitespace; any other character
+    raises :class:`~pamsort.words_core.ParseError`.  Which steps a path
+    may take is left to its kind (:class:`LatticePath`).
+
+    >>> parse_steps("U H0 D"), format_steps(parse_steps("UH2D"))
+    (('U', 'H0', 'D'), 'UH2D')
+    """
+    steps: list[str] = []
+    for i, c in enumerate("".join(text.split())):
+        if c in "UDH":
+            steps.append(c)
+        elif c in "012" and steps and steps[-1] == "H":
+            steps[-1] = "H" + c   # a label right after an unlabeled H
+        else:
+            raise ParseError(f"invalid path step {c!r}", i)
+    return tuple(steps)
+
+
+def format_steps(steps: Sequence[str]) -> str:
+    return "".join(steps)
 
 
 class PathKind(enum.Enum):
@@ -88,7 +112,7 @@ class LatticePath:
 def as_path(kind: PathKind, p: LatticePath | str | Sequence[str]
             ) -> LatticePath:
     """``p`` as a path of ``kind``: a path of that kind as it is, step text
-    parsed (:func:`~pamsort.patterns.parse_steps`), a step sequence
+    parsed (:func:`parse_steps`), a step sequence
     validated."""
     if isinstance(p, LatticePath):
         if p.kind is not kind:

@@ -28,8 +28,9 @@ from functools import lru_cache
 from operator import neg
 from typing import Callable, Iterable, Sequence
 
-from .words_core import (Domain, Word, _check_letters, format_word, is_member,
-                         parse_word, standardize)
+from .paths_trees import format_steps, parse_steps
+from .words_core import (Domain, ParseError, Word, _check_letters, format_word,
+                         is_member, parse_word, standardize)
 
 
 class PatternKind(enum.Enum):
@@ -51,14 +52,8 @@ AT = "at"
 Region = tuple[int, tuple[str, int]]
 
 
-class PatternParseError(ValueError):
-    """Raised on malformed pattern text; carries a position when known."""
-
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position
+# Malformed pattern text raises the library's one parse error.
+PatternParseError = ParseError
 
 
 @dataclass(frozen=True)
@@ -169,33 +164,14 @@ NAMED: dict[str, Pattern] = {
 # ---------------------------------------------------------------------------
 # Parser / printer
 
+_INT_SET = re.compile(r"\s*\{\s*(\d+\s*(,\s*\d+\s*)*)?\}\s*")
+
+
 def _parse_intset(text: str) -> frozenset[int]:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise PatternParseError(f"expected a set, got {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return frozenset()
-    return frozenset(int(p) for p in inner.split(","))
-
-
-def parse_steps(text: str) -> tuple[str, ...]:
-    """Parse a step word such as ``"UUDH2D"`` or ``"U H0 D"`` over the
-    steps U, D, H, H0, H1 and H2, skipping whitespace.  Which steps a path
-    may take is left to its kind (``paths_trees.LatticePath``)."""
-    steps: list[str] = []
-    for i, c in enumerate("".join(text.split())):
-        if c in "UDH":
-            steps.append(c)
-        elif c in "012" and steps and steps[-1] == "H":
-            steps[-1] = "H" + c   # a label right after an unlabeled H
-        else:
-            raise PatternParseError(f"invalid path step {c!r}", i)
-    return tuple(steps)
-
-
-def format_steps(steps: Sequence[str]) -> str:
-    return "".join(steps)
+    m = _INT_SET.fullmatch(text)
+    if m is None:
+        raise PatternParseError(f"expected a set of integers, got {text!r}")
+    return frozenset(map(int, m[1].split(","))) if m[1] else frozenset()
 
 
 # far more texts than the sigma texts of the machines one process queries
@@ -214,12 +190,8 @@ def parse_pattern(text: str) -> Pattern:
             raise PatternParseError(f"unknown named pattern @{name}")
         return NAMED[name]
     m = re.fullmatch(r"(bv|mesh|cmesh|barred|path)\((.*)\)", text, re.DOTALL)
-    if m is None:
-        # bare word => classical
-        try:
-            return classical(parse_word(text))
-        except ValueError as exc:
-            raise PatternParseError(str(exc)) from None
+    if m is None:   # a bare word is a classical pattern
+        return classical(parse_word(text))
     head, inner = m.group(1), m.group(2)
     if head == "path":
         return path_pattern(parse_steps(inner))

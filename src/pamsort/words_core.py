@@ -50,6 +50,17 @@ def word(letters: Iterable[int]) -> Word:
     return w
 
 
+class ParseError(ValueError):
+    """Raised on malformed text: a word, step text or a pattern.  Carries
+    a position when known."""
+
+    def __init__(self, message: str, position: int | None = None):
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
+        self.position = position
+
+
 def parse_word(text: str) -> Word:
     """Parse a word from text.
 
@@ -57,7 +68,8 @@ def parse_word(text: str) -> Word:
     all-digits form (e.g. ``"25341"``) in which every letter is a single
     digit.  A lone letter followed by one comma (``"11,"``) is a one-letter
     word, since ``"11"`` reads as (1, 1).  Any other empty comma field
-    (leading, trailing or doubled commas) raises ``ValueError``.
+    (leading, trailing or doubled commas), a field that is not an integer
+    and a letter below 1 raise :class:`ParseError`.
 
     >>> parse_word("13 14 15 10 12")
     (13, 14, 15, 10, 12)
@@ -68,7 +80,7 @@ def parse_word(text: str) -> Word:
     >>> parse_word("1,2,,3")
     Traceback (most recent call last):
     ...
-    ValueError: empty field in word: '1,2,,3'
+    pamsort.words_core.ParseError: empty field in word: '1,2,,3'
     """
     text = text.strip()
     if not text:
@@ -79,13 +91,18 @@ def parse_word(text: str) -> Word:
                 and len(fields[0].split()) == 1):
             fields.pop()
         if not all(f.strip() for f in fields):
-            raise ValueError(f"empty field in word: {text!r}")
-        return word(" ".join(fields).split())
-    if " " in text:
-        return word(text.split())
-    if text.isdigit():
-        return word(text)
-    raise ValueError(f"cannot parse word: {text!r}")
+            raise ParseError(f"empty field in word: {text!r}")
+        letters = " ".join(fields).split()
+    elif " " in text:
+        letters = text.split()
+    elif text.isdigit():
+        letters = text   # one letter per digit
+    else:
+        raise ParseError(f"cannot parse word: {text!r}")
+    try:
+        return word(letters)
+    except ValueError as exc:   # a field that is no integer, or below 1
+        raise ParseError(str(exc)) from None
 
 
 def format_word(w: Word) -> str:

@@ -1,19 +1,36 @@
 """Test helpers shared by several test modules: random domain words, a
 naive containment check, a naive two-stack run that logs every push and
 pop, naive references for delta, its inverse, beta and the two structural
-pair oracles, and the machines whose closed-form oracle is checked
-against brute force."""
+pair oracles, the machines whose closed-form oracle is checked against
+brute force, malformed pattern texts, and an in-process CLI runner."""
 
+import inspect
 import itertools
 import random
 
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from pamsort.bijections import StoreMode
+from pamsort.cli import main
 from pamsort.patterns import (NAMED, classical, contains, contains_classical,
                               occurrences_of)
 from pamsort.words_core import (Domain, Which, ltr_decompose, modify,
                                 standardize)
+
+
+# Malformed text inside a headed pattern, in its body or its integer sets:
+# each is a parse error, as a bare malformed word is.
+MALFORMED_HEADED = ("bv(132;S={a};T={})", "barred(132;pos={x})",
+                    "mesh(1x2;(0,1))", "cmesh(1x;(0,gap:1))", "mesh(0;(0,1))")
+
+
+def run_cli(*args):
+    """Run ``pamsort`` in process; the result keeps stdout and stderr
+    apart."""
+    if "mix_stderr" in inspect.signature(CliRunner.__init__).parameters:
+        return CliRunner(mix_stderr=False).invoke(main, args)
+    return CliRunner().invoke(main, args)
 
 
 def perm_word(rng: random.Random, n: int) -> tuple[int, ...]:

@@ -4,19 +4,7 @@ import json
 import shlex
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from pamsort.cli import main
-
-
-def run(*args):
-    return CliRunner(mix_stderr=False).invoke(main, args) \
-        if _mix_supported() else CliRunner().invoke(main, args)
-
-
-def _mix_supported():
-    import inspect
-    return "mix_stderr" in inspect.signature(CliRunner.__init__).parameters
+from helpers import MALFORMED_HEADED, run_cli as run
 
 
 def test_sortable_example():
@@ -183,7 +171,7 @@ def test_malformed_input_exit_statuses():
             assert r.exit_code == 2 and r.stdout == "", (cmd, word)
             assert "parse error:" in r.stderr, (cmd, word)
         for sigma in ("mesh(132;(0,9))", "132,,321", "132,", "",
-                      "bv(132;S={5};T={})"):
+                      "bv(132;S={5};T={})", *MALFORMED_HEADED):
             r = run(cmd, "--sigma", sigma, "2413")
             assert r.exit_code == 2 and r.stdout == "", (cmd, sigma)
             assert "parse error:" in r.stderr, (cmd, sigma)
@@ -191,6 +179,11 @@ def test_malformed_input_exit_statuses():
             r = run(cmd, "--sigma", "132", word)
             assert r.exit_code == 1 and r.stdout == "", (cmd, word)
             assert "not a member of domain perm" in r.stderr, (cmd, word)
+    for command, extra in (("classify", ()), ("sorted-set", ("--n", "3"))):
+        for sigma in MALFORMED_HEADED:
+            r = run(command, "--sigma", sigma, *extra)
+            assert r.exit_code == 2 and r.stdout == "", (command, sigma)
+            assert "parse error:" in r.stderr, (command, sigma)
 
 
 def test_path_input_exit_statuses():

@@ -1,6 +1,6 @@
 """Digests of the image and sorted sets and of the oracle verdicts over
-a fixed corpus of machines, and of pattern containment over a fixed
-corpus of patterns.
+a fixed corpus of machines, of pattern containment over a fixed corpus
+of patterns, and of the CLI's outputs over a fixed command list.
 
 The naive references of ``test_machine.py`` pin correctness at small n;
 these digests pin the sets themselves at the sizes the engines serve, so
@@ -13,9 +13,12 @@ permutation machine of ``ORACLE_CASES``, and every Cayley word up to
 n = 6 for the Cayley 12- and 21-machines.  The pattern corpus is every
 pattern of ``PATTERN_TEXTS``, one or more of each kind but path patterns,
 on every Cayley word up to n = 4 and 300 seeded Cayley words of length
-5-10.
+5-10.  The CLI corpus is the fixed command list of ``cli_commands``,
+which runs every subcommand, ends in every exit status 0-3, and holds
+every malformed word and path of ``test_cli.py``.
 
-A change that alters a set on purpose regenerates the digests with
+A change that alters a set or an output on purpose regenerates the
+digests with
 
     PYTHONPATH=src python tests/test_digests.py
 
@@ -23,11 +26,14 @@ pastes the printed lines into ``DIGESTS``, and names each digest that
 moved, and why, in its change notes.
 """
 
+import contextlib
 import hashlib
 import itertools
 import random
+from unittest import mock
 
-from helpers import ORACLE_CASES, perm_word
+import pamsort.enumeration as E
+from helpers import ORACLE_CASES, perm_word, run_cli
 from pamsort.machine import MachineSpec, image_set, iter_domain
 from pamsort.oracles import oracle_for
 from pamsort.patterns import (classical, contains, occurrences_of,
@@ -47,6 +53,7 @@ DIGESTS = {
     "sorted": "a93581a56dd1bda83d3999fef44304e0087b9fca0e669f8dbe3c370e834dec40",
     "oracle": "211ee1a8f138218274d653d6c7465d6db3d181cc7b1fd9df1e50ee1fd0ef6666",
     "patterns": "a1a1b32d3a2d43fe42068b8c2fd03caf69b5da6e183175b408f23877b0933f58",
+    "cli": "1cb119a73e977a630487214fd797815207fa962e9aaeb5eee71285966d19740d",
 }
 
 # Every pattern kind but path patterns: bivincular T gaps at the bottom
@@ -138,9 +145,108 @@ def pattern_digest():
     return h.hexdigest()
 
 
+# the path-reading bijections, and a valid input of every bijection
+PATH_BIJECTIONS = ("dyck-to-av213", "dyck-to-rgf1221", "schroder-to-sort123",
+                   "beta-stack", "beta-queue")
+BIJECTION_INPUTS = {
+    "eta": "13 14 15 10 12 6 7 8 11 9 3 1 4 5 2",
+    "eta-inverse": "111223332345445", "dyck-to-av213": "UUDUUDDDUD",
+    "av213-to-dyck": "25341", "sort123-to-schroder": "4132",
+    "schroder-to-sort123": "UUDUDD", "rgf1221-to-dyck": "12131",
+    "dyck-to-rgf1221": "UUDDUD", "beta-stack": "UH0H1DH0",
+    "beta-queue": "UUH2DD", "rgfnr12321-to-av321": "121312",
+    "av321-to-rgfnr12321": "214365", "alpha-strip": "1223121",
+    "delta": "121323", "delta-inverse": "122312", "phi": "2413",
+}
+
+
+def cli_commands():
+    """(arguments, miscount) of every command of the CLI digest, in a
+    fixed order.  A miscounting command runs with a brute-force engine
+    that is off by one, so that ``verify`` fails (exit 3)."""
+    for args in (
+            ("sortable", "--sigma", "132", "2413"),
+            ("sortable", "--sigma", "123", "132"),
+            ("sortable", "--sigma", "123", "--method", "brute", "4132"),
+            ("sortable", "--sigma", "231", "123"),
+            ("sortable", "--sigma", "231", "--strict", "123"),
+            ("sortable", "--sigma", "21", "--domain", "cay", "1213"),
+            ("sortable", "--sigma", "132", "--domain", "rgf", "132"),
+            ("sort", "--sigma", "231", "2413"),
+            ("sort", "--sigma", "132,321", "--domain", "rgf", "12132"),
+            ("sort", "--sigma", "path(UD)", "12"),
+            ("trace", "--sigma", "231", "2413"),
+            ("trace", "--sigma", "132,321", "--domain", "asc", "12132"),
+            ("classify", "--sigma", "12"),
+            ("classify", "--sigma", "123", "--json"),
+            ("classify", "--sigma", "21", "--domain", "cay", "--json"),
+            ("classify", "--sigma", "132,321"),
+            ("enumerate", "--sigma", "231", "--n", "6"),
+            ("enumerate", "--sigma", "123", "--n", "6", "--method", "oracle"),
+            ("enumerate", "--sigma", "132,321", "--n", "8", "--method",
+             "tree"),
+            ("enumerate", "--sigma", "12", "--domain", "asc", "--n", "5"),
+            ("enumerate", "--sigma", "231", "--n", "0", "--method", "tree"),
+            ("enumerate", "--sigma", "231", "--n", "0"),
+            ("enumerate", "--sigma", "231", "--n", "0", "--strict"),
+            ("enumerate", "--sigma", "231", "--n", "-1", "--method", "brute"),
+            ("enumerate", "--sigma", "132,321", "--n", "12"),
+            ("sequence", "CATALAN", "--n", "5"),
+            ("sequence", "NARAYANA", "--n", "4", "--k", "2"),
+            ("sequence", "CATALAN", "--n", "5", "--k", "3"),
+            ("sequence", "FUBINI", "--n", "-1"),
+            ("fertility", "--sigma", "123", "132"),
+            ("fertility", "--sigma", "123", "--json", "2413"),
+            ("fertility", "--sigma", "231", "--json", "2413"),
+            ("fertility", "--sigma", "123", "1x2"),
+            ("sorted-set", "--sigma", "123", "--n", "3"),
+            ("sorted-set", "--sigma", "21", "--domain", "cay", "--n", "3"),
+            ("sorted-set", "--sigma", "@mu", "--n", "3"),
+            ("verify", "appendix_len3", "--max-n", "5"),
+            ("verify", "cayley21", "--max-n", "5", "--json")):
+        yield args, False
+    for args in (("verify", "appendix_len3", "--max-n", "5"),
+                 ("verify", "cayley21", "sorted", "--max-n", "4", "--json")):
+        yield args, True
+    for bid, text in BIJECTION_INPUTS.items():
+        yield ("bijection", bid, text), False
+    for text in ("213", "1,,2", "0"):
+        yield ("bijection", "av213-to-dyck", text), False
+    # the malformed words, patterns and paths of test_cli.py
+    for cmd in ("sortable", "sort", "trace"):
+        for word in ("1,2,,3", ",1,2", "1,2,", "1x23", "2,3,2,1", "1 2 4"):
+            yield (cmd, "--sigma", "132", word), False
+        for sigma in ("mesh(132;(0,9))", "132,,321", "132,", "",
+                      "bv(132;S={5};T={})", "1x2"):
+            yield (cmd, "--sigma", sigma, "2413"), False
+    for bid in PATH_BIJECTIONS:
+        for text in ("UX", "H3", "U?D", "UDD", "DU", "H2", "UH0D"):
+            yield ("bijection", bid, text), False
+
+
+def miscounting():
+    """Brute-force counts and image sets that are off by one."""
+    count, image = E.sortable_count, E.image_set
+    return mock.patch.multiple(
+        E, sortable_count=lambda *a, **kw: count(*a, **kw) + 1,
+        image_set=lambda *a, **kw: image(*a, **kw) | {()})
+
+
+def cli_digest():
+    """SHA-256 over one record per command of the CLI corpus: its
+    arguments, exit status, stdout and stderr."""
+    h = hashlib.sha256()
+    for args, miscount in cli_commands():
+        with miscounting() if miscount else contextlib.nullcontext():
+            r = run_cli(*args)
+        h.update(f"{args!r} {r.exit_code}\n{r.stdout}\0{r.stderr}\0"
+                 .encode())
+    return h.hexdigest()
+
+
 def digests():
     return {**set_digests(), "oracle": oracle_digest(),
-            "patterns": pattern_digest()}
+            "patterns": pattern_digest(), "cli": cli_digest()}
 
 
 def test_image_set_digests():
@@ -153,6 +259,10 @@ def test_oracle_digest():
 
 def test_pattern_digest():
     assert pattern_digest() == DIGESTS["patterns"]
+
+
+def test_cli_digest():
+    assert cli_digest() == DIGESTS["cli"]
 
 
 if __name__ == "__main__":

@@ -1,17 +1,21 @@
-"""Unit tests for lattice paths and succession rules."""
+"""Unit tests for lattice paths and succession rules, and for the
+package's layering under them."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+import pamsort
 from pamsort.paths_trees import (LatticePath, PathKind, count_dyck_bounded,
                                  double_rises, dyck_path, first_return_decomposition,
                                  format_path, height, heights, iter_dyck,
                                  iter_motzkin, iter_schroder, matching,
-                                 motzkin_path, parse_path, peaks, rule_catalog,
-                                 rule_ids, rule_level_counts, schroder_path)
+                                 motzkin_path, parse_path, parse_steps, peaks,
+                                 rule_catalog, rule_ids, rule_level_counts,
+                                 schroder_path)
 from pamsort.enumeration import catalan
-from pamsort.patterns import parse_steps
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127]
 SCHRODER = [1, 2, 6, 22, 90, 394]
@@ -137,3 +141,32 @@ def test_omega2_counts_dud_free_dyck_paths():
     for n in range(1, 9):
         brute = sum(1 for p in iter_dyck(n) if not has_dudu(p))
         assert rule_level_counts(rule_catalog("OMEGA2_DUDU"), n)[-1] == brute
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """For each module of the package, the package modules it imports."""
+    src = Path(pamsort.__file__).parent
+    out: dict[str, set[str]] = {}
+    for path in sorted(src.glob("*.py")):
+        full: list[str] = []   # dotted names from the package root
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                full += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mod = "pamsort." * (node.level > 0) + (node.module or "")
+                if mod.strip(".") == "pamsort":   # from pamsort import x
+                    full += [f"pamsort.{a.name}" for a in node.names]
+                else:
+                    full.append(mod)
+        out[path.stem] = {m.split(".")[1] for m in full
+                          if m.startswith("pamsort.")}
+    return out
+
+
+def test_layering_keeps_the_step_grammar_low():
+    # words_core is the bottom of the package, and paths_trees, which owns
+    # the step grammar, sits directly on it
+    imports = _package_imports()
+    assert {"words_core", "paths_trees", "patterns", "cli"} <= set(imports)
+    assert imports["words_core"] == set()
+    assert imports["paths_trees"] == {"words_core"}

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pamsort
+from helpers import MALFORMED_HEADED
 from pamsort.enumeration import xi_count
 import pamsort.machine as M
 from pamsort.machine import MachineSpec, iter_domain
@@ -17,7 +19,8 @@ from pamsort.patterns import (AT, GAP, NAMED, PatternKind, PatternParseError,
                               occurrences_of, parse_pattern, path_contains,
                               path_pattern)
 from pamsort.patterns import _SCANS, _resolve, _search, _search_terms
-from pamsort.words_core import Domain, standardize
+from pamsort.paths_trees import parse_steps
+from pamsort.words_core import Domain, parse_word, standardize
 
 
 def test_parse_bare_word():
@@ -44,7 +47,7 @@ ROUND_TRIP_TEXTS = [
 
 BAD_TEXTS = ["", "2a1", "mesh(132;(0,9))", "bv(132;S={5};T={})",
              "barred(35241;pos={})", "barred(35241;pos={1,2,3,4,5})",
-             "@nope", "mesh(132;(0,2)"]
+             "@nope", "mesh(132;(0,2)", *MALFORMED_HEADED]
 
 
 def test_parse_forms_round_trip():
@@ -57,6 +60,16 @@ def test_parse_errors():
     for bad in BAD_TEXTS:
         with pytest.raises(PatternParseError):
             parse_pattern(bad)
+
+
+def test_one_parse_error_for_words_steps_and_patterns():
+    assert PatternParseError is pamsort.ParseError
+    bad = [(parse_word, t) for t in ("1x2", "0", "1 a", "1,2,,3", "1,-2")]
+    bad += [(parse_steps, t) for t in ("UX", "H3", "U?D")]
+    bad += [(parse_pattern, t) for t in BAD_TEXTS]
+    for parse, text in bad:
+        with pytest.raises(pamsort.ParseError):
+            parse(text)
 
 
 def test_parse_memo_shares_equal_patterns():
