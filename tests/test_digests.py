@@ -1,5 +1,5 @@
-"""Digests of the image and sorted sets and of the oracle verdicts over
-a fixed corpus of machines, of pattern containment over a fixed corpus
+"""Digests of the image and sorted sets, of the sortable counts and of
+the oracle verdicts over a fixed corpus of machines, of pattern containment over a fixed corpus
 of patterns, and of the CLI's outputs over a fixed command list.
 
 The naive references of ``test_machine.py`` pin correctness at small n;
@@ -8,6 +8,8 @@ that a change to how the sets are computed shows at once if any set
 moved.  The set corpus is every permutation body of length 2-4 and a few
 pairs on permutations up to n = 7, and the walk test's bodies on every
 other domain (Cayley words up to n = 5, the rest up to n = 7).  The
+count corpus is the set corpus and ``COUNT_ROWS``, permutation machines
+at n = 9, past the levels that one subtree of the level walk grows.  The
 oracle corpus is 300 seeded permutations of length 9-24 for each
 permutation machine of ``ORACLE_CASES``, and every Cayley word up to
 n = 6 for the Cayley 12- and 21-machines.  The pattern corpus is every
@@ -34,7 +36,8 @@ from unittest import mock
 
 import pamsort.enumeration as E
 from helpers import ORACLE_CASES, perm_word, run_cli
-from pamsort.machine import MachineSpec, image_set, iter_domain
+from pamsort.machine import (MachineSpec, image_set, iter_domain,
+                             sortable_count)
 from pamsort.oracles import oracle_for
 from pamsort.patterns import (classical, contains, occurrences_of,
                               parse_pattern)
@@ -51,10 +54,13 @@ WORD_SIZES = {Domain.CAYLEY: 5, Domain.RGF: 7, Domain.ASC: 7,
 DIGESTS = {
     "image": "c47072c106e37f0dc0dcc06f60c322c598b20cf1ff8ec20ba6a28b4bc90e0f25",
     "sorted": "a93581a56dd1bda83d3999fef44304e0087b9fca0e669f8dbe3c370e834dec40",
+    "count": "9a4f1a4dde269e587aa9d84226164e6518be2327f6731a0d35986996808dc578",
     "oracle": "211ee1a8f138218274d653d6c7465d6db3d181cc7b1fd9df1e50ee1fd0ef6666",
     "patterns": "a1a1b32d3a2d43fe42068b8c2fd03caf69b5da6e183175b408f23877b0933f58",
     "cli": "1cb119a73e977a630487214fd797815207fa962e9aaeb5eee71285966d19740d",
 }
+# permutation machines at n = 9, past ``machine._SUBTREE_LEVELS``
+COUNT_ROWS = [((1, 2, 3),), ((3, 2, 1),), ((1, 3, 2), (3, 2, 1))]
 
 # Every pattern kind but path patterns: bivincular T gaps at the bottom
 # level, an interior level and the top level, mesh and Cayley-mesh
@@ -94,6 +100,18 @@ def set_digests():
             words = sorted(image_set(spec, n, sorted_only=kind == "sorted"))
             h.update(f"{d.value} {bodies} {n}: {words}\n".encode())
     return {kind: h.hexdigest() for kind, h in hashes.items()}
+
+
+def count_digest():
+    """SHA-256 over one line per entry of the count corpus: the machine,
+    n and ``sortable_count``."""
+    h = hashlib.sha256()
+    rows = [(Domain.PERM, bodies, 9) for bodies in COUNT_ROWS]
+    for d, bodies, n in itertools.chain(corpus(), rows):
+        spec = MachineSpec(tuple(classical(b) for b in bodies), d)
+        h.update(f"{d.value} {bodies} {n}: {sortable_count(spec, n)}\n"
+                 .encode())
+    return h.hexdigest()
 
 
 def oracle_corpus():
@@ -245,12 +263,17 @@ def cli_digest():
 
 
 def digests():
-    return {**set_digests(), "oracle": oracle_digest(),
+    return {**set_digests(), "count": count_digest(),
+            "oracle": oracle_digest(),
             "patterns": pattern_digest(), "cli": cli_digest()}
 
 
 def test_image_set_digests():
     assert set_digests() == {k: DIGESTS[k] for k in ("image", "sorted")}
+
+
+def test_count_digest():
+    assert count_digest() == DIGESTS["count"]
 
 
 def test_oracle_digest():
