@@ -215,14 +215,13 @@ def _must_pop(stack: tuple[int, ...], x: int, bodies: tuple[Word, ...]) -> int:
         plan = _plan(body)
         k = len(body)
         bound: list[int | float] = [x] * k + [0, _NO_BOUND]
-        idx = [0] * k
         eq, lo, hi = plan[0]
         a, b = (x - 1, x + 1) if eq == 0 else (bound[lo], bound[hi])
         for p in range(len(stack) - k + 1, pops - 1, -1):
             y = stack[p]
             if a < y < b:
                 bound[1] = y
-                if _complete(stack, p + 1, plan, 1, bound, idx, None):
+                if _complete(stack, p + 1, plan, 1, bound, None, None):
                     pops = p + 1
                     break
     return pops
@@ -614,9 +613,11 @@ def iter_domain(d: Domain, n: int, max_n: int | None = None) -> Iterator[Word]:
 # ``_output_step`` follows the first-stack map, ``_sortable_step`` also
 # prunes the prefixes whose drain contains 231.  Both states are tuples
 # with the stack first and the emitted letters last.  Two engines take
-# them: ``_walk``, the prefix tree, for what depends on the input
-# (sortable words and counts, input and output pairs, preimages), and
-# ``_level_walk``, over distinct states, for the image and the sorted set.
+# them: ``_walk``, the prefix tree, for what lists inputs (sortable words,
+# input and output pairs, preimages, and ``iter_domain`` off the perm
+# domain), and ``_level_walk``, over distinct states, for the image, the
+# sorted set and sortable counts, which counts the prefixes that merge
+# into each state rather than visiting them one by one.
 
 _OutputState = tuple[tuple[int, ...], int, Word]
 _SortState = tuple[tuple[int, ...], int, _Detector, Word]
@@ -678,25 +679,17 @@ def _sortable_step(push: _AutomatonStep
     return step
 
 
-def _sortable_walk(spec: MachineSpec, n: int
-                   ) -> Iterator[tuple[Word, _SortState]]:
-    """The sortable length-n words, each with its state."""
-    return _walk(spec.domain, n, ((), 0, ((), 0), ()),
-                 _sortable_step(_AUTOMATA.get(spec.bodies).step))
-
-
-def sortable_count(spec: MachineSpec, n: int,
-                   max_n: int | None = None) -> int:
-    """Number of sortable length-n words of the machine's domain."""
-    _check_guard(spec.domain, n, max_n)
-    return sum(1 for _ in _sortable_walk(spec, n))
+# the state of the empty prefix: empty stack, automaton state 0, a 231
+# detector that has read nothing, and no emitted letters
+_SORT_ROOT: _SortState = ((), 0, ((), 0), ())
 
 
 def sortable_words(spec: MachineSpec, n: int,
                    max_n: int | None = None) -> list[Word]:
     """The sortable length-n words, in lexicographic order."""
     _check_guard(spec.domain, n, max_n)
-    return [w for w, _ in _sortable_walk(spec, n)]
+    step = _sortable_step(_AUTOMATA.get(spec.bodies).step)
+    return [w for w, _ in _walk(spec.domain, n, _SORT_ROOT, step)]
 
 
 def machine_outputs(spec: MachineSpec, n: int,
@@ -744,17 +737,37 @@ def fertility(w: Sequence[int], spec: MachineSpec,
     return len(preimages), preimages
 
 
-# Sets by distinct state
+# Sets and counts by distinct state
 #
 # What a prefix can still emit depends only on its letters emitted, its
 # stack and what the domain rule reads of it: the letters read (the
-# emitted ones and the stack's), their maximum, the last letter read
-# (always the top of the stack) and, on ascent sequences, the ascent
-# count.  So the prefixes that share (emitted letters, stack, ascent
-# count) share their futures, and a walk that wants only the set of
-# drains advances one dict of distinct states a letter at a time, one
-# step call and one dict store per child.  The ascent count stays 0 off
-# the ascent domains, where the rule does not read it.
+# emitted ones and the stack's), their number and maximum, the last letter
+# read (always the top of the stack) and, on ascent sequences, the ascent
+# count.  The automaton state is a function of the stack.  So the prefixes
+# that share (emitted letters, stack, ascent count) share their futures,
+# and a walk that wants only the set of drains advances one dict of
+# distinct states a letter at a time, one step call and one dict store per
+# child.  The ascent count stays 0 off the ascent domains, where the rule
+# does not read it.
+#
+# A count needs less, and walks fewer keys.  The future of a sortable
+# prefix (which letters may follow, which children the sortable step
+# keeps, and their states) depends only on its stack, from which the
+# automaton state follows; its 231 detector, that is its emitted letters
+# as a multiset (``seen``, which gives the domain rule the letters read and
+# their number with the stack's) and the threshold; and, on ascent
+# sequences, its ascent count.  The step reads the emitted letters only
+# through the detector, and their order only to extend the drain, which a
+# count never forms.  So the sortable prefixes that share (231 detector,
+# stack, ascent count) have the same number of sortable completions, and
+# a count walks those keys with a tally, the number of prefixes that
+# reach each key: a child's tally is the sum of its parents'.  This is
+# exact, not a bound.  The tally is a dict beside the level, made and
+# written only for a count, so a set walk does not pay for it.  Unlike a
+# memo on the depth-first walk, which lost to the plain walk at n = 7,
+# the level walk makes no key objects of its own (the detector and the
+# stack are tuples the step builds anyway) and has no recursion, no leaf
+# tuples and no generator chain that every leaf resumes through.
 
 # The levels grown below one frontier state.  Past n = 8 the first n - 8
 # levels are merged in one dict, and each distinct state there then grows
@@ -762,7 +775,9 @@ def fertility(w: Sequence[int], spec: MachineSpec,
 # of one subtree, not the widest level of the whole walk.
 _SUBTREE_LEVELS = 8
 
-_Key = tuple[Word, tuple[int, ...], int]
+# a level's key: (emitted letters, or the 231 detector of a count; stack;
+# ascent count)
+_Key = tuple[object, tuple[int, ...], int]
 
 
 def _next_letters(d: Domain, n: int, out: Word, stack: tuple[int, ...],
@@ -784,37 +799,77 @@ def _next_letters(d: Domain, n: int, out: Word, stack: tuple[int, ...],
 
 
 def _grow(d: Domain, n: int, step: Callable[[_S, int], _S | None],
-          level: dict[_Key, _S], start: int, stop: int) -> dict[_Key, _S]:
+          level: dict[_Key, _S], tally: dict[_Key, int] | None,
+          start: int, stop: int
+          ) -> tuple[dict[_Key, _S], dict[_Key, int] | None]:
     """Advance ``level``, the distinct states of the prefixes of length
-    ``start``, to those of length ``stop``.  Each level is emptied while
-    the next one grows, so that a state is freed once its children are
-    stored."""
+    ``start``, to those of length ``stop``, with ``tally``, the number of
+    prefixes per key, if it is not None.  A state is keyed by its emitted
+    letters, or by its 231 detector when tallied (see above), with its
+    stack and its ascent count.  Each level is emptied while the next one
+    grows, so that a state is freed once its children are stored."""
     # on perm the letters left are the ones not read, in one set difference
     letters = frozenset(range(1, n + 1)) if d is Domain.PERM else None
     for _ in range(start, stop):
         grown: dict[_Key, _S] = {}
+        counts: dict[_Key, int] | None = None if tally is None else {}
         while level:
-            (out, stack, ascents), state = level.popitem()
+            key, state = level.popitem()
+            if counts is not None:
+                m = tally.pop(key)
+            # the emitted letters of one prefix of the key: a tallied key
+            # fixes them up to order, which the domain rule does not read
+            stack, out = state[0], state[-1]
             runs = (((0, letters.difference(out, stack)),)
                     if letters is not None
-                    else _next_letters(d, n, out, stack, ascents))
+                    else _next_letters(d, n, out, stack, key[2]))
+            if counts is None:
+                for after, run in runs:
+                    for v in run:
+                        child = step(state, v)
+                        if child is not None:
+                            grown[child[-1], child[0], after] = child
+                continue
+            # the tallied loop apart, so that a set walk pays nothing for
+            # it; child[2] is the 231 detector of a ``_SortState``
             for after, run in runs:
                 for v in run:
                     child = step(state, v)
                     if child is not None:
-                        grown[child[-1], child[0], after] = child
-        level = grown
-    return level
+                        key = child[2], child[0], after
+                        grown[key] = child
+                        counts[key] = counts.get(key, 0) + m
+        level, tally = grown, counts
+    return level, tally
 
 
-def _level_walk(d: Domain, n: int, root: _S,
-                step: Callable[[_S, int], _S | None]) -> Iterator[_S]:
-    """The states of the length-n words of domain ``d`` that ``step``
-    keeps, one per distinct (emitted letters, stack, ascent count)."""
+def _level_walk(spec: MachineSpec, n: int, root: _S,
+                make_step: Callable[[_AutomatonStep],
+                                    Callable[[_S, int], _S | None]],
+                counted: bool = False
+                ) -> Iterator[tuple[dict[_Key, _S], dict[_Key, int] | None]]:
+    """The states of the length-n words of the machine's domain that the
+    step built by ``make_step`` keeps, one per distinct key, in one dict
+    per subtree; ``counted`` keys them by 231 detector and yields each
+    dict with its tally, else with None."""
+    d, step = spec.domain, make_step(_AUTOMATA.get(spec.bodies).step)
     cut = max(n - _SUBTREE_LEVELS, 0)
-    frontier = _grow(d, n, step, {((), (), 0): root}, 0, cut)
+    # the root shares its key with no other state, so any key serves
+    key = ((), (), 0)
+    frontier, tally = _grow(d, n, step, {key: root},
+                            {key: 1} if counted else None, 0, cut)
     for key, state in frontier.items():
-        yield from _grow(d, n, step, {key: state}, cut, n).values()
+        yield _grow(d, n, step, {key: state},
+                    None if tally is None else {key: tally[key]}, cut, n)
+
+
+def sortable_count(spec: MachineSpec, n: int,
+                   max_n: int | None = None) -> int:
+    """Number of sortable length-n words of the machine's domain, counted
+    over the distinct states of their prefixes."""
+    _check_guard(spec.domain, n, max_n)
+    walk = _level_walk(spec, n, _SORT_ROOT, _sortable_step, counted=True)
+    return sum(sum(tally.values()) for _, tally in walk)
 
 
 def image_set(spec: MachineSpec, n: int, sorted_only: bool = False,
@@ -826,13 +881,10 @@ def image_set(spec: MachineSpec, n: int, sorted_only: bool = False,
     takes the sortable step, which prunes on the drain.
     """
     _check_guard(spec.domain, n, max_n)
-    push = _AUTOMATA.get(spec.bodies).step
-    if sorted_only:
-        states = _level_walk(spec.domain, n, ((), 0, ((), 0), ()),
-                             _sortable_step(push))
-    else:
-        states = _level_walk(spec.domain, n, ((), 0, ()), _output_step(push))
-    return {state[-1] + state[0] for state in states}
+    walk = (_level_walk(spec, n, _SORT_ROOT, _sortable_step) if sorted_only
+            else _level_walk(spec, n, ((), 0, ()), _output_step))
+    return {state[-1] + state[0]
+            for states, _ in walk for state in states.values()}
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def _plan(body: Word) -> tuple[_Step, ...]:
 
 
 def _complete(x: Sequence[int], start: int, plan: tuple[_Step, ...], t: int,
-              bound: list[int | float], idx: list[int],
+              bound: list[int | float], idx: list[int] | None,
               accept: Callable[[Word], object] | None) -> bool:
     """Can the letters of ``x[start:]`` play the body's letters from
     ``t + 1`` on, in an occurrence that ``accept`` takes (any one when
@@ -310,7 +310,9 @@ def _complete(x: Sequence[int], start: int, plan: tuple[_Step, ...], t: int,
 
     ``bound[s]`` and ``idx[s]`` hold the letter and the position that play
     ``body[s]`` for s <= t; the last two entries of ``bound`` are the
-    bounds below and above every letter (see :func:`_plan`)."""
+    bounds below and above every letter (see :func:`_plan`).  Only
+    ``accept`` reads the positions, so without it ``idx`` is None and no
+    position is written."""
     if t == len(plan):
         return accept is None or bool(accept(tuple(idx)))
     eq, lo, hi = plan[t]
@@ -325,7 +327,8 @@ def _complete(x: Sequence[int], start: int, plan: tuple[_Step, ...], t: int,
         y = x[p]
         if a < y < b:
             bound[t] = y
-            idx[t] = p
+            if idx is not None:
+                idx[t] = p
             if _complete(x, p + 1, plan, t, bound, idx, accept):
                 return True
     return False
@@ -348,10 +351,11 @@ def _search(x: Sequence[int], body: Word,
         return accept is None or bool(accept(()))
     plan = _plan(tuple(body))
     bound: list[int | float] = [0] * k + [0, _NO_BOUND]
-    idx = [0] * k
+    idx = None if accept is None else [0] * k
     for p in range(len(x) - k + 1):
         bound[0] = x[p]
-        idx[0] = p
+        if idx is not None:
+            idx[0] = p
         if _complete(x, p + 1, plan, 0, bound, idx, accept):
             return True
     return False

@@ -68,8 +68,9 @@ def parse_word(text: str) -> Word:
     all-digits form (e.g. ``"25341"``) in which every letter is a single
     digit.  A lone letter followed by one comma (``"11,"``) is a one-letter
     word, since ``"11"`` reads as (1, 1).  Any other empty comma field
-    (leading, trailing or doubled commas), a field that is not an integer
-    and a letter below 1 raise :class:`ParseError`.
+    (leading, trailing or doubled commas), a field that is not all ASCII
+    decimal digits (so no sign, underscore or other script's digit) and a
+    letter below 1 raise :class:`ParseError`.
 
     >>> parse_word("13 14 15 10 12")
     (13, 14, 15, 10, 12)
@@ -95,13 +96,15 @@ def parse_word(text: str) -> Word:
         letters = " ".join(fields).split()
     elif " " in text:
         letters = text.split()
-    elif text.isdigit():
-        letters = text   # one letter per digit
     else:
+        letters = text   # one letter per digit
+    # every field is non-empty, so this reads each of them
+    digits = "".join(letters)
+    if not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"cannot parse word: {text!r}")
     try:
         return word(letters)
-    except ValueError as exc:   # a field that is no integer, or below 1
+    except ValueError as exc:   # a letter below 1
         raise ParseError(str(exc)) from None
 
 

@@ -2,7 +2,8 @@
 naive containment check, a naive two-stack run that logs every push and
 pop, naive references for delta, its inverse, beta and the two structural
 pair oracles, the machines whose closed-form oracle is checked against
-brute force, malformed pattern texts, and an in-process CLI runner."""
+brute force, malformed words and pattern texts, and an in-process CLI
+runner."""
 
 import inspect
 import itertools
@@ -18,6 +19,11 @@ from pamsort.patterns import (NAMED, classical, contains, contains_classical,
 from pamsort.words_core import (Domain, Which, ltr_decompose, modify,
                                 standardize)
 
+
+# Malformed words: empty comma fields, a letter that is no digit, and
+# fields that int() would read but that are not ASCII decimal digits.
+MALFORMED_WORDS = ("1,2,,3", ",1,2", "1,2,", "1x23", "1_0 2", "+3 1",
+                   "\u0663\u0661")
 
 # Malformed text inside a headed pattern, in its body or its integer sets:
 # each is a parse error, as a bare malformed word is.

@@ -4,7 +4,7 @@ import json
 import shlex
 from pathlib import Path
 
-from helpers import MALFORMED_HEADED, run_cli as run
+from helpers import MALFORMED_HEADED, MALFORMED_WORDS, run_cli as run
 
 
 def test_sortable_example():
@@ -166,7 +166,7 @@ def test_malformed_input_exit_statuses():
     # a malformed word or pattern is a parse error (2), a well-formed word
     # outside the domain a domain error (1)
     for cmd in ("sortable", "sort", "trace"):
-        for word in ("1,2,,3", ",1,2", "1,2,", "1x23"):
+        for word in MALFORMED_WORDS:
             r = run(cmd, "--sigma", "132", word)
             assert r.exit_code == 2 and r.stdout == "", (cmd, word)
             assert "parse error:" in r.stderr, (cmd, word)

@@ -35,7 +35,7 @@ import random
 from unittest import mock
 
 import pamsort.enumeration as E
-from helpers import ORACLE_CASES, perm_word, run_cli
+from helpers import MALFORMED_WORDS, ORACLE_CASES, perm_word, run_cli
 from pamsort.machine import (MachineSpec, image_set, iter_domain,
                              sortable_count)
 from pamsort.oracles import oracle_for
@@ -57,7 +57,7 @@ DIGESTS = {
     "count": "9a4f1a4dde269e587aa9d84226164e6518be2327f6731a0d35986996808dc578",
     "oracle": "211ee1a8f138218274d653d6c7465d6db3d181cc7b1fd9df1e50ee1fd0ef6666",
     "patterns": "a1a1b32d3a2d43fe42068b8c2fd03caf69b5da6e183175b408f23877b0933f58",
-    "cli": "1cb119a73e977a630487214fd797815207fa962e9aaeb5eee71285966d19740d",
+    "cli": "07899e58e1007722bea0e5e9cb7f072c0895481809bdb07eb8046c48798c9cc1",
 }
 # permutation machines at n = 9, past ``machine._SUBTREE_LEVELS``
 COUNT_ROWS = [((1, 2, 3),), ((3, 2, 1),), ((1, 3, 2), (3, 2, 1))]
@@ -232,7 +232,7 @@ def cli_commands():
         yield ("bijection", "av213-to-dyck", text), False
     # the malformed words, patterns and paths of test_cli.py
     for cmd in ("sortable", "sort", "trace"):
-        for word in ("1,2,,3", ",1,2", "1,2,", "1x23", "2,3,2,1", "1 2 4"):
+        for word in (*MALFORMED_WORDS, "2,3,2,1", "1 2 4"):
             yield (cmd, "--sigma", "132", word), False
         for sigma in ("mesh(132;(0,9))", "132,,321", "132,", "",
                       "bv(132;S={5};T={})", "1x2"):

@@ -325,9 +325,10 @@ def test_machine_outputs_matches_direct_map():
 
 
 def test_level_walk_subtrees_match_direct_map(monkeypatch):
-    # past _SUBTREE_LEVELS letters the image and the sorted set grow one
-    # subtree per distinct state of the frontier; with 1 and 3 levels that
-    # path runs at these sizes, with every frontier depth from 0 to 5
+    # past _SUBTREE_LEVELS letters the image, the sorted set and the
+    # sortable count grow one subtree per distinct state of the frontier,
+    # the count with the tally of its key; with 1 and 3 levels that path
+    # runs at these sizes, with every frontier depth from 0 to 5
     cases = []
     for d in Domain:
         for n in range(0, 7):
@@ -335,17 +336,20 @@ def test_level_walk_subtrees_match_direct_map(monkeypatch):
             for bodies in WALK_SIGMAS:
                 if d is Domain.PERM and bodies == ((1, 1),):
                     continue
-                image = {naive_sigma_stack(w, bodies) for w in words}
+                outs = [naive_sigma_stack(w, bodies) for w in words]
+                image = set(outs)
                 sorted_image = {out for out in image
                                 if not naive_contains(out, (2, 3, 1))}
+                count = sum(out in sorted_image for out in outs)
                 cases.append((spec(*bodies, domain=d), n, image,
-                              sorted_image))
+                              sorted_image, count))
     for levels in (1, 3):
         monkeypatch.setattr(M, "_SUBTREE_LEVELS", levels)
-        for s, n, image, sorted_image in cases:
+        for s, n, image, sorted_image, count in cases:
             assert image_set(s, n) == image, (levels, s, n)
             assert image_set(s, n, sorted_only=True) == sorted_image, \
                 (levels, s, n)
+            assert sortable_count(s, n) == count, (levels, s, n)
 
 
 # Property tests: random words of length 8-16 in every domain against the

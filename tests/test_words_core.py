@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import domain_words
-from pamsort.words_core import (Domain, Which, complement, decreasing,
-                                direct_sum, format_word, identity, inflate,
-                                inverse, is_member, ltr_decompose, ltr_maxima,
-                                ltr_minima, modify, parse_word, reverse,
-                                skew_sum, standardize, unmodify, word)
+from pamsort.words_core import (Domain, ParseError, Which, complement,
+                                decreasing, direct_sum, format_word, identity,
+                                inflate, inverse, is_member, ltr_decompose,
+                                ltr_maxima, ltr_minima, modify, parse_word,
+                                reverse, skew_sum, standardize, unmodify,
+                                word)
 
 
 def test_parse_and_format_round_trip():
@@ -35,6 +36,10 @@ def test_parse_rejects_garbage():
         with pytest.raises(ValueError, match="empty field"):
             parse_word(text)
     assert parse_word("1, 2,3") == (1, 2, 3)
+    # int() reads these fields, but they are not ASCII decimal digits
+    for text in ("1_0 2", "+3 1", "\u0663\u0661", "1 \u0663", "-1 2"):
+        with pytest.raises(ParseError, match="cannot parse word"):
+            parse_word(text)
 
 
 def test_standardize():
